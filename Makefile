@@ -131,8 +131,7 @@ sweep-smoke: build
 	$(GO) build -o /tmp/nucaserve ./cmd/nucaserve
 	rm -rf /tmp/nucasim-sweepsmoke
 	$(GO) run ./internal/tools/sweepsmoke -bin /tmp/nucaserve -state /tmp/nucasim-sweepsmoke
-	$(GO) run ./internal/tools/artifactcheck -servestore /tmp/nucasim-sweepsmoke \
-		-sweepstore /tmp/nucasim-sweepsmoke
+	$(GO) run ./internal/tools/artifactcheck -store /tmp/nucasim-sweepsmoke
 	@echo sweep-smoke ok
 
 # Crash-consistency smoke: SIGKILL the real server binary mid-job (no
@@ -164,12 +163,10 @@ bench-sweep: build
 		-max-ratio BenchmarkSweepForked/BenchmarkSweepCold=0.85
 	@echo "bench record written to BENCH_sweep.json"
 
-# Short fuzz pass over the external-input parsers (JSONL trace, binary
-# address trace). Seed corpora live under */testdata/fuzz/.
+# Short fuzz pass over the external-input parsers (JSONL trace,
+# canonical job spec). Seed corpora live under */testdata/fuzz/.
 fuzz-smoke: build
 	$(GO) test -run=^$$ -fuzz=FuzzReadEvents -fuzztime=10s ./internal/replay/
-	$(GO) test -run=^$$ -fuzz=FuzzReader -fuzztime=10s ./internal/trace/
-	$(GO) test -run=^$$ -fuzz=FuzzRoundTrip -fuzztime=10s ./internal/trace/
 	$(GO) test -run=^$$ -fuzz=FuzzParseCanonicalSpec -fuzztime=10s ./internal/sim/
 
 # Static analysis and vulnerability scanning. Both tools are optional at

@@ -10,12 +10,14 @@ import (
 	"sort"
 )
 
-// manifest records the SHA-256 of every committed artifact in a job
+// manifest records the SHA-256 of every committed artifact in an entry
 // directory, so a reader can prove the bytes it is about to serve are
-// the bytes the worker wrote. It is written after epoch.csv and before
-// result.json (the commit marker): a directory with a result but no
+// the bytes the worker wrote. It is written after the other artifacts
+// and before the commit marker: a directory with a marker but no
 // manifest — or with any artifact whose hash disagrees — is corrupt by
-// definition and is quarantined, never served.
+// definition and is quarantined, never served. Encoding/json sorts the
+// map keys, so identical artifact sets produce identical manifest
+// bytes.
 //
 // spans.json and checkpoint.bin are deliberately not covered:
 // spans.json is a best-effort wall-clock observation written after the
@@ -35,19 +37,9 @@ const manifestVersion = 1
 // manifestFile is the on-disk name, alongside the artifacts it covers.
 const manifestFile = "manifest.json"
 
-// requiredArtifacts are the files every committed manifest must cover.
-var requiredArtifacts = []string{"spec.json", "epoch.csv", "result.json"}
-
 func artifactDigest(data []byte) string {
 	sum := sha256.Sum256(data)
 	return hex.EncodeToString(sum[:])
-}
-
-// encodeManifest renders the manifest deterministically (sorted keys —
-// encoding/json sorts map keys — fixed indentation) so identical
-// artifact sets produce identical manifest bytes.
-func encodeManifest(m manifest) ([]byte, error) {
-	return json.MarshalIndent(m, "", "  ")
 }
 
 // CorruptError reports an artifact whose on-disk bytes failed integrity
@@ -64,32 +56,28 @@ func (e *CorruptError) Error() string {
 	return fmt.Sprintf("serve: %s: artifact %s failed integrity check: %s", e.Hash, e.Artifact, e.Reason)
 }
 
-// verifyManifest checks every artifact the job's manifest covers
-// against its recorded hash.
-func (st *Store) verifyManifest(hash string) *CorruptError {
-	return verifyManifestDir(st.jobDir(hash), "job "+hash, requiredArtifacts)
-}
-
-// verifyManifestDir checks dir's artifacts against its manifest: the
-// required set must be covered, and every covered artifact's bytes must
-// match the recorded hash. It reads each artifact exactly once and
-// returns the first violation; subject labels the entry in reports.
-func verifyManifestDir(dir, subject string, required []string) *CorruptError {
+// verifyManifest checks dir, the entry id of kind k, against its
+// manifest: the spec and every artifact of the kind must be covered,
+// and every covered artifact's bytes must match the recorded hash. It
+// reads each artifact exactly once and returns the first violation.
+func verifyManifest(dir string, k *Kind, id string) *CorruptError {
+	corrupt := func(artifact, reason string) *CorruptError {
+		return &CorruptError{Hash: k.label + " " + id, Artifact: artifact, Reason: reason}
+	}
 	raw, err := os.ReadFile(filepath.Join(dir, manifestFile))
 	if err != nil {
-		return &CorruptError{Hash: subject, Artifact: manifestFile, Reason: "unreadable: " + err.Error()}
+		return corrupt(manifestFile, "unreadable: "+err.Error())
 	}
 	var m manifest
 	if err := json.Unmarshal(raw, &m); err != nil {
-		return &CorruptError{Hash: subject, Artifact: manifestFile, Reason: "unparseable: " + err.Error()}
+		return corrupt(manifestFile, "unparseable: "+err.Error())
 	}
 	if m.Version != manifestVersion {
-		return &CorruptError{Hash: subject, Artifact: manifestFile,
-			Reason: fmt.Sprintf("version %d, this build reads %d", m.Version, manifestVersion)}
+		return corrupt(manifestFile, fmt.Sprintf("version %d, this build reads %d", m.Version, manifestVersion))
 	}
-	for _, name := range required {
+	for _, name := range append([]string{specFile}, k.artifacts...) {
 		if _, ok := m.Artifacts[name]; !ok {
-			return &CorruptError{Hash: subject, Artifact: name, Reason: "not covered by manifest"}
+			return corrupt(name, "not covered by manifest")
 		}
 	}
 	// Verify in sorted order so failure reports are deterministic.
@@ -101,11 +89,10 @@ func verifyManifestDir(dir, subject string, required []string) *CorruptError {
 	for _, name := range names {
 		data, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
-			return &CorruptError{Hash: subject, Artifact: name, Reason: "unreadable: " + err.Error()}
+			return corrupt(name, "unreadable: "+err.Error())
 		}
 		if got := artifactDigest(data); got != m.Artifacts[name] {
-			return &CorruptError{Hash: subject, Artifact: name,
-				Reason: fmt.Sprintf("sha256 %s, manifest says %s", got, m.Artifacts[name])}
+			return corrupt(name, fmt.Sprintf("sha256 %s, manifest says %s", got, m.Artifacts[name]))
 		}
 	}
 	return nil

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"log"
 	"math/rand/v2"
-	"os"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -121,16 +120,16 @@ func New(opts Options) (*Server, error) {
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.metrics.init()
-	store.OnQuarantine(func(hash, reason string) {
+	store.OnQuarantine(func(name, reason string) {
 		s.metrics.inc("serve.cache_quarantined")
-		log.Printf("serve: quarantined cache entry %s: %s", hash, reason)
+		log.Printf("serve: quarantined cache entry %s: %s", name, reason)
 		// When the entry belongs to a known job, stamp the quarantine on
 		// its wall-clock flight recorder too (GET /v1/jobs/{id}/spans),
 		// so the trace shows why a "done" job suddenly reran. Async:
-		// quarantine can fire under s.mu (e.g. the HasResult probe in
-		// Submit), and s.Job needs that same lock.
+		// quarantine can fire under s.mu (e.g. the Has probe in Submit),
+		// and s.Job needs that same lock.
 		go func() {
-			if j, ok := s.Job(hash); ok {
+			if j, ok := s.Job(name); ok {
 				j.spans.Event("cache.quarantined", j.root.ID())
 				j.mu.Lock()
 				j.bumpLocked() // wake /events watchers: state is about to change
@@ -152,47 +151,26 @@ func New(opts Options) (*Server, error) {
 }
 
 // recover re-queues every job the previous process left unfinished.
-// The scan doubles as the store's integrity pass: committed entries are
-// verified against their manifests (corrupt ones are quarantined and —
-// when their spec survives — rerun from scratch), stale checkpoints
-// next to committed results are garbage-collected, and checkpoints that
-// no longer gob-decode are deleted so the job reruns instead of wedging
-// every restart on the same bad file. Jobs with a decodable checkpoint
-// resume mid-measurement; the rest rerun from scratch. Recovery may
-// exceed QueueDepth — the backlog is real work already accepted, not
-// new load.
+// The scan doubles as the store's integrity pass: Pending verifies every
+// committed entry against its manifest (corrupt ones are quarantined
+// and — when their spec survives — Requeue'd to rerun from scratch),
+// stale checkpoints next to committed results are garbage-collected,
+// and checkpoints that no longer gob-decode are deleted so the job
+// reruns instead of wedging every restart on the same bad file. Jobs
+// with a decodable checkpoint resume mid-measurement; the rest rerun
+// from scratch. Recovery may exceed QueueDepth — the backlog is real
+// work already accepted, not new load.
 func (s *Server) recover() error {
-	hashes, err := s.store.JobDirs()
+	hashes, err := s.store.Dirs(JobKind)
 	if err != nil {
 		return err
 	}
-	// Pass 1: integrity. CheckResult quarantines corrupt committed
-	// entries (moving their directory), so read the spec first — it is
-	// what lets the work rerun.
-	for _, hash := range hashes {
-		spec, specErr := os.ReadFile(s.store.SpecPath(hash))
-		if s.store.CheckResult(hash) != ResultCorrupt {
-			continue
-		}
-		if specErr != nil {
-			continue // quarantined with no salvageable spec; operator's call
-		}
-		if _, _, err := sim.ParseCanonicalSpec(spec); err != nil {
-			continue
-		}
-		// Re-persist the spec into a fresh job directory so the rerun is
-		// indistinguishable from a normal queued job.
-		if err := s.store.PutSpec(hash, spec); err != nil {
-			return fmt.Errorf("serve: re-queueing quarantined job %s: %w", hash, err)
-		}
-	}
-	// Pass 2: committed entries that verified clean may still carry a
-	// stale checkpoint (crash after commit, before checkpoint removal).
-	// Pass 3 (Pending) picks up everything uncommitted.
-	pending, err := s.store.Pending()
+	pending, err := s.store.Pending(JobKind)
 	if err != nil {
 		return err
 	}
+	// Committed entries that verified clean may still carry a stale
+	// checkpoint (crash after commit, before checkpoint removal).
 	for _, hash := range hashes {
 		if _, isPending := pending[hash]; !isPending {
 			s.store.DropCheckpoint(hash)
@@ -203,8 +181,11 @@ func (s *Server) recover() error {
 		if err != nil {
 			// Unreadable specs (schema drift, corruption) are dropped so
 			// one bad entry cannot wedge every restart.
-			s.store.Remove(hash)
+			s.store.Remove(JobKind, hash)
 			continue
+		}
+		if err := s.store.Requeue(JobKind, hash, spec); err != nil {
+			return fmt.Errorf("serve: re-queueing quarantined job %s: %w", hash, err)
 		}
 		resumable := false
 		if s.store.HasCheckpoint(hash) {
@@ -266,7 +247,7 @@ func (s *Server) Submit(req JobRequest) (*Job, bool, error) {
 		// explicit resubmission is a request to try again, not a dedup —
 		// fall through and enqueue a fresh attempt under the same hash.
 	}
-	if s.store.HasResult(hash) {
+	if s.store.Has(JobKind, hash) {
 		// Cache hit from a previous process lifetime, integrity-verified
 		// against the entry's manifest (a corrupt entry was just
 		// quarantined and reads as a miss, so the job reruns below):
@@ -384,7 +365,7 @@ func (s *Server) Cancel(id string) (Status, bool) {
 		j.bumpLocked()
 		j.notifyLocked()
 		s.metrics.inc("serve.jobs_canceled")
-		s.store.Remove(id)
+		s.store.Remove(JobKind, id)
 	case j.state == StateRunning:
 		j.cancelRequested = true
 		if j.cancel != nil {
@@ -554,7 +535,7 @@ func (s *Server) runJob(j *Job) {
 	case panicked != nil:
 		// Clean the store first, then announce: a client that observes the
 		// terminal state must never find half-removed on-disk state.
-		s.store.Remove(j.ID)
+		s.store.Remove(JobKind, j.ID)
 		s.metrics.inc("serve.panics_recovered")
 		s.metrics.inc("serve.jobs_failed")
 		log.Printf("serve: job %s: worker panic recovered: %s", j.ID, panicked.value)
@@ -573,7 +554,7 @@ func (s *Server) runJob(j *Job) {
 			commitSpan.End()
 		}
 		if encErr != nil {
-			s.store.Remove(j.ID)
+			s.store.Remove(JobKind, j.ID)
 			s.metrics.inc("serve.jobs_failed")
 			j.root.End()
 			j.setState(StateFailed, encErr.Error())
@@ -597,14 +578,14 @@ func (s *Server) runJob(j *Job) {
 		j.mu.Unlock()
 		switch {
 		case wasCancel:
-			s.store.Remove(j.ID)
+			s.store.Remove(JobKind, j.ID)
 			s.metrics.inc("serve.jobs_canceled")
 			j.setState(StateCanceled, "")
 		case ctx.Err() == context.DeadlineExceeded:
 			// The per-job deadline fired. This is an explicit failure, not
 			// a checkpoint: a job that cannot finish inside its budget
 			// must not be silently resumed into the same budget overrun.
-			s.store.Remove(j.ID)
+			s.store.Remove(JobKind, j.ID)
 			s.metrics.inc("serve.jobs_deadline_exceeded")
 			s.metrics.inc("serve.jobs_failed")
 			j.setFailed(fmt.Sprintf("job exceeded its %s wall-clock deadline", s.opts.JobTimeout), "")
@@ -641,7 +622,7 @@ func (s *Server) runJob(j *Job) {
 				return
 			}
 		}
-		s.store.Remove(j.ID)
+		s.store.Remove(JobKind, j.ID)
 		s.metrics.inc("serve.jobs_failed")
 		j.setState(StateFailed, err.Error())
 	}

@@ -9,19 +9,25 @@ import (
 	"testing"
 )
 
-// putEntry commits a complete, verifiable cache entry and returns the
-// bytes it wrote.
-func putEntry(t *testing.T, st *Store, hash string) (result, csv []byte) {
+// putEntry commits a complete, verifiable entry of kind k and returns
+// the bytes it wrote, in the kind's commit order.
+func putEntry(t *testing.T, st *Store, k *Kind, id string) (artifacts [][]byte) {
 	t.Helper()
-	result = []byte(`{"fake":"result for ` + hash + `"}`)
-	csv = []byte("epoch,value\n1,2\n")
-	if err := st.PutSpec(hash, []byte(`{"spec":"`+hash+`"}`)); err != nil {
+	artifacts = [][]byte{[]byte("epoch,value\n1,2\n"), []byte(`{"fake":"result for ` + id + `"}`)}
+	if err := st.Create(k, id, []byte(`{"spec":"`+id+`"}`)); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.PutResult(hash, result, csv); err != nil {
+	if err := st.Commit(k, id, artifacts...); err != nil {
 		t.Fatal(err)
 	}
-	return result, csv
+	return artifacts
+}
+
+// storeKinds runs a store test once per entry kind.
+func storeKinds(t *testing.T, test func(t *testing.T, k *Kind)) {
+	for _, k := range []*Kind{JobKind, SweepKind} {
+		t.Run(k.root, func(t *testing.T) { test(t, k) })
+	}
 }
 
 // TestStoreConcurrentReadRemove hammers one hash with concurrent
@@ -35,7 +41,8 @@ func TestStoreConcurrentReadRemove(t *testing.T) {
 		t.Fatal(err)
 	}
 	const hash = "feedface00000000000000000000000000000000000000000000000000000000"
-	want, wantCSV := putEntry(t, st, hash)
+	artifacts := putEntry(t, st, JobKind, hash)
+	wantCSV, want := artifacts[0], artifacts[1]
 
 	const iters = 200
 	var wg sync.WaitGroup
@@ -63,13 +70,13 @@ func TestStoreConcurrentReadRemove(t *testing.T) {
 	go func() { // cache-hit probes
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
-			st.HasResult(hash)
+			st.Has(JobKind, hash)
 		}
 	}()
 	go func() { // removal / re-commit churn
 		defer wg.Done()
 		for i := 0; i < iters/4; i++ {
-			if err := st.Remove(hash); err != nil {
+			if err := st.Remove(JobKind, hash); err != nil {
 				t.Errorf("Remove: %v", err)
 				return
 			}
@@ -91,106 +98,111 @@ func TestStoreConcurrentReadRemove(t *testing.T) {
 // happen, and every reader must come back empty-handed (error or
 // cache miss), never with the corrupt bytes.
 func TestStoreConcurrentQuarantine(t *testing.T) {
-	st, err := NewStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var moves int
-	var mu sync.Mutex
-	st.OnQuarantine(func(hash, reason string) {
-		mu.Lock()
-		moves++
-		mu.Unlock()
-	})
-	const hash = "deadbeef00000000000000000000000000000000000000000000000000000000"
-	putEntry(t, st, hash)
-	if err := os.WriteFile(st.ResultPath(hash), []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	storeKinds(t, func(t *testing.T, k *Kind) {
+		st, err := NewStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var moves int
+		var mu sync.Mutex
+		st.OnQuarantine(func(name, reason string) {
+			mu.Lock()
+			moves++
+			mu.Unlock()
+		})
+		const id = "deadbeef00000000000000000000000000000000000000000000000000000000"
+		putEntry(t, st, k, id)
+		if err := os.WriteFile(st.path(k, id, k.marker()), []byte("garbage"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 
-	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if data, err := st.ReadResult(hash); err == nil {
-				t.Errorf("corrupt read succeeded with %q", data)
-			}
-			if st.HasResult(hash) {
-				t.Error("HasResult true for corrupt entry")
-			}
-		}()
-	}
-	wg.Wait()
-	if moves != 1 {
-		t.Fatalf("quarantine moved %d times, want exactly 1", moves)
-	}
-	entries, err := os.ReadDir(st.QuarantineDir())
-	if err != nil || len(entries) != 1 {
-		t.Fatalf("quarantine dir: %v entries, err %v", len(entries), err)
-	}
-	reason, err := os.ReadFile(filepath.Join(st.QuarantineDir(), entries[0].Name(), "REASON"))
-	if err != nil || len(reason) == 0 {
-		t.Fatalf("quarantined entry lacks a REASON file: %v", err)
-	}
+		var wg sync.WaitGroup
+		for i := 0; i < 16; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if data, err := st.Read(k, id, k.marker()); err == nil {
+					t.Errorf("corrupt read succeeded with %q", data)
+				}
+				if st.Has(k, id) {
+					t.Error("Has true for corrupt entry")
+				}
+			}()
+		}
+		wg.Wait()
+		if moves != 1 {
+			t.Fatalf("quarantine moved %d times, want exactly 1", moves)
+		}
+		entries, err := os.ReadDir(st.QuarantineDir())
+		if err != nil || len(entries) != 1 {
+			t.Fatalf("quarantine dir: %v entries, err %v", len(entries), err)
+		}
+		reason, err := os.ReadFile(filepath.Join(st.QuarantineDir(), entries[0].Name(), "REASON"))
+		if err != nil || len(reason) == 0 {
+			t.Fatalf("quarantined entry lacks a REASON file: %v", err)
+		}
+	})
 }
 
 // TestPendingSkipsQuarantineAndJunk covers the recovery scan's edge
 // cases: quarantined directories are invisible to Pending (they live
-// outside jobs/), stray non-directory files under jobs/ are ignored,
-// and a spec-less directory (crash between MkdirAll and the spec
-// write) is skipped as junk rather than resurrected.
+// outside the kind's root), stray non-directory files under the root
+// are ignored, and a spec-less directory (crash between MkdirAll and
+// the spec write) is skipped as junk rather than resurrected.
 func TestPendingSkipsQuarantineAndJunk(t *testing.T) {
-	st, err := NewStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	const good = "0000000000000000000000000000000000000000000000000000000000000001"
-	const bad = "0000000000000000000000000000000000000000000000000000000000000002"
-	if err := st.PutSpec(good, []byte(`{"spec":"good"}`)); err != nil {
-		t.Fatal(err)
-	}
-	putEntry(t, st, bad)
-	if err := os.WriteFile(st.EpochCSVPath(bad), []byte("tampered"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// Stray file and spec-less dir under jobs/.
-	if err := os.WriteFile(filepath.Join(st.dir, "jobs", "stray.tmp"), []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.MkdirAll(st.jobDir("000000000000000000000000000000000000000000000000000000000000dead"), 0o755); err != nil {
-		t.Fatal(err)
-	}
+	storeKinds(t, func(t *testing.T, k *Kind) {
+		st, err := NewStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		const good = "0000000000000000000000000000000000000000000000000000000000000001"
+		const bad = "0000000000000000000000000000000000000000000000000000000000000002"
+		if err := st.Create(k, good, []byte(`{"spec":"good"}`)); err != nil {
+			t.Fatal(err)
+		}
+		putEntry(t, st, k, bad)
+		if err := os.WriteFile(st.path(k, bad, k.artifacts[0]), []byte("tampered"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		// Stray file and spec-less dir under the kind's root.
+		if err := os.WriteFile(filepath.Join(st.dir, k.root, "stray.tmp"), []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(st.entryDir(k, "000000000000000000000000000000000000000000000000000000000000dead"), 0o755); err != nil {
+			t.Fatal(err)
+		}
 
-	// First scan: the corrupt entry is quarantined but still reported
-	// pending (its spec was salvaged first), the unfinished entry is
-	// pending, junk is skipped.
-	pending, err := st.Pending()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := pending[good]; !ok {
-		t.Error("unfinished entry missing from Pending")
-	}
-	if _, ok := pending[bad]; !ok {
-		t.Error("corrupt entry missing from Pending (should rerun)")
-	}
-	if len(pending) != 2 {
-		t.Errorf("Pending returned %d entries, want 2: %v", len(pending), pending)
-	}
+		// First scan: the corrupt entry is quarantined but still reported
+		// pending (its spec was salvaged first), the unfinished entry is
+		// pending, junk is skipped.
+		pending, err := st.Pending(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := pending[good]; !ok {
+			t.Error("unfinished entry missing from Pending")
+		}
+		if _, ok := pending[bad]; !ok {
+			t.Error("corrupt entry missing from Pending (should rerun)")
+		}
+		if len(pending) != 2 {
+			t.Errorf("Pending returned %d entries, want 2: %v", len(pending), pending)
+		}
 
-	// Second scan: the quarantined directory is gone from jobs/, so the
-	// corrupt hash no longer appears — quarantine is not a work queue.
-	pending, err = st.Pending()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := pending[bad]; ok {
-		t.Error("quarantined entry reappeared in Pending")
-	}
-	if len(pending) != 1 {
-		t.Errorf("second Pending returned %d entries, want 1", len(pending))
-	}
+		// Second scan: the quarantined directory is gone from the root,
+		// so the corrupt entry no longer appears — quarantine is not a
+		// work queue.
+		pending, err = st.Pending(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := pending[bad]; ok {
+			t.Error("quarantined entry reappeared in Pending")
+		}
+		if len(pending) != 1 {
+			t.Errorf("second Pending returned %d entries, want 1", len(pending))
+		}
+	})
 }
 
 // TestConcurrentSubmitSameSpec races identical submissions against a

@@ -293,7 +293,7 @@ func TestSweepCancelMidFanout(t *testing.T) {
 			t.Errorf("point %q ended %s, want canceled", ps.Label, ps.State)
 		}
 	}
-	if _, err := os.Stat(s.Store().SweepSpecPath(st.ID)); !os.IsNotExist(err) {
+	if _, err := os.Stat(s.Store().path(SweepKind, st.ID, specFile)); !os.IsNotExist(err) {
 		t.Error("canceled sweep left its store entry behind (would rerun on restart)")
 	}
 	// The sweep's result is, correctly, not servable.
@@ -367,5 +367,47 @@ func TestSweepRecovery(t *testing.T) {
 	tableJSON := fetch(t, ts2.URL+"/v1/sweeps/"+st.ID+"/result", http.StatusOK)
 	if !bytes.Contains(tableJSON, []byte("mc-study")) {
 		t.Error("recovered sweep table lost its title")
+	}
+}
+
+// TestSweepCorruptTableRecovery: a committed sweep whose table.json was
+// damaged while the server was down is quarantined at the next start,
+// re-created from its salvaged spec, and re-aggregated from its cached
+// points — it reaches done and re-serves the original table.
+func TestSweepCorruptTableRecovery(t *testing.T) {
+	dir := t.TempDir()
+	s, ts := newTestServer(t, Options{StateDir: dir, Workers: 2})
+	st, resp := submitSweep(t, ts, smallSweep(29))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d", resp.StatusCode)
+	}
+	waitFor(t, "sweep done", func() bool { return getSweep(t, ts, st.ID).State == SweepDone })
+	want := fetch(t, ts.URL+"/v1/sweeps/"+st.ID+"/result", http.StatusOK)
+	ts.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	corruptFile(t, s.Store().path(SweepKind, st.ID, "table.json"), flipBit)
+
+	s2, ts2 := newTestServer(t, Options{StateDir: dir, Workers: 2})
+	sw, ok := s2.Sweep(st.ID)
+	if !ok {
+		t.Fatal("restarted server does not know the corrupted sweep")
+	}
+	waitFor(t, "recovered sweep settled", func() bool {
+		state := s2.SweepStatus(sw).State
+		return state == SweepDone || state == SweepFailed
+	})
+	if got := s2.SweepStatus(sw); got.State != SweepDone {
+		t.Fatalf("recovered sweep ended %q (error %q), want done", got.State, got.Error)
+	}
+	if got := fetch(t, ts2.URL+"/v1/sweeps/"+st.ID+"/result", http.StatusOK); !bytes.Equal(got, want) {
+		t.Errorf("re-served table differs from the original:\n%s\nwant:\n%s", got, want)
+	}
+	if got := counter(s2, "serve.cache_quarantined"); got != 1 {
+		t.Errorf("serve.cache_quarantined = %d, want 1", got)
 	}
 }

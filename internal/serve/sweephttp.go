@@ -83,10 +83,10 @@ func (s *Server) handleSweepResult(w http.ResponseWriter, r *http.Request) {
 	var contentType string
 	switch artifact := r.URL.Query().Get("artifact"); artifact {
 	case "", "table":
-		data, err = s.store.ReadSweepTable(sw.ID)
+		data, err = s.store.Read(SweepKind, sw.ID, "table.json")
 		contentType = "application/json"
 	case "csv":
-		data, err = s.store.ReadSweepCSV(sw.ID)
+		data, err = s.store.Read(SweepKind, sw.ID, "table.csv")
 		contentType = "text/csv"
 	default:
 		writeError(w, http.StatusBadRequest, "unknown artifact "+strconv.Quote(artifact)+" (want table or csv)")

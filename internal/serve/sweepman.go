@@ -245,7 +245,7 @@ func (s *Server) SubmitSweep(spec sweep.Spec) (*Sweep, bool, error) {
 		// Failed and canceled sweeps released their on-disk state; an
 		// explicit resubmission is a request to try again.
 	}
-	if s.store.HasSweepResult(id) {
+	if s.store.Has(SweepKind, id) {
 		sw := &Sweep{ID: id, spec: spec, points: points,
 			state: SweepDone, cached: true, wait: make(chan struct{})}
 		s.sweeps[id] = sw
@@ -255,13 +255,13 @@ func (s *Server) SubmitSweep(spec sweep.Spec) (*Sweep, bool, error) {
 	if s.draining {
 		return nil, false, ErrDraining
 	}
-	if err := s.store.PutSweepSpec(id, canonical); err != nil {
+	if err := s.store.Create(SweepKind, id, canonical); err != nil {
 		return nil, false, fmt.Errorf("serve: persisting sweep spec: %w", err)
 	}
 	sw, err := s.attachSweepLocked(id, spec, points)
 	if err != nil {
 		delete(s.sweeps, id)
-		s.store.RemoveSweep(id)
+		s.store.Remove(SweepKind, id)
 		return nil, false, err
 	}
 	s.metrics.inc("serve.sweeps_submitted")
@@ -296,7 +296,7 @@ func (s *Server) attachSweepLocked(id string, spec sweep.Spec, points []sweep.Po
 				continue
 			}
 		}
-		if s.store.HasResult(p.SpecHash) {
+		if s.store.Has(JobKind, p.SpecHash) {
 			j := newJob(p.SpecHash, p.Cfg, p.Mix)
 			j.state = StateDone
 			j.cached = true
@@ -408,11 +408,11 @@ func (s *Server) finalizeSweep(sw *Sweep) {
 	sw.mu.Unlock()
 	switch {
 	case failed > 0:
-		s.store.RemoveSweep(sw.ID)
+		s.store.Remove(SweepKind, sw.ID)
 		s.metrics.inc("serve.sweeps_failed")
 		sw.setState(SweepFailed, fmt.Sprintf("%d of %d points failed", failed, len(sw.points)))
 	case canceled > 0 || wasCancel:
-		s.store.RemoveSweep(sw.ID)
+		s.store.Remove(SweepKind, sw.ID)
 		s.metrics.inc("serve.sweeps_canceled")
 		sw.setState(SweepCanceled, "")
 	default:
@@ -432,7 +432,7 @@ func (s *Server) aggregateSweep(sw *Sweep) {
 			results[i], err = DecodeResult(data)
 		}
 		if err != nil {
-			s.store.RemoveSweep(sw.ID)
+			s.store.Remove(SweepKind, sw.ID)
 			s.metrics.inc("serve.sweeps_failed")
 			sw.setState(SweepFailed, fmt.Sprintf("aggregating point %q: %v", p.Label, err))
 			return
@@ -446,10 +446,10 @@ func (s *Server) aggregateSweep(sw *Sweep) {
 		err = tbl.WriteCSV(&csv)
 	}
 	if err == nil {
-		err = s.store.PutSweepResult(sw.ID, tableJSON, csv.Bytes())
+		err = s.store.Commit(SweepKind, sw.ID, csv.Bytes(), tableJSON)
 	}
 	if err != nil {
-		s.store.RemoveSweep(sw.ID)
+		s.store.Remove(SweepKind, sw.ID)
 		s.metrics.inc("serve.sweeps_failed")
 		sw.setState(SweepFailed, "committing sweep artifacts: "+err.Error())
 		return
@@ -508,11 +508,12 @@ func (s *Server) CancelSweep(id string) (SweepStatus, bool) {
 // already in s.jobs (and the FIFO) and are adopted; committed points
 // read from the cache; points missing entirely are created and
 // scheduled — with fork grouping, so even a recovered sweep shares
-// warmups where it can. Sweeps whose spec no longer expands (schema
-// drift, a lowered point cap) are dropped with a log line rather than
-// wedging every restart.
+// warmups where it can. A committed sweep whose entry failed
+// verification is Requeue'd and re-aggregated like any unfinished one.
+// Sweeps whose spec no longer expands (schema drift, a lowered point
+// cap) are dropped with a log line rather than wedging every restart.
 func (s *Server) recoverSweeps() error {
-	pending, err := s.store.PendingSweeps()
+	pending, err := s.store.Pending(SweepKind)
 	if err != nil {
 		return err
 	}
@@ -527,8 +528,11 @@ func (s *Server) recoverSweeps() error {
 		}
 		if err != nil {
 			log.Printf("serve: dropping unrecoverable sweep %s: %v", id, err)
-			s.store.RemoveSweep(id)
+			s.store.Remove(SweepKind, id)
 			continue
+		}
+		if err := s.store.Requeue(SweepKind, id, specBytes); err != nil {
+			return fmt.Errorf("serve: re-queueing quarantined sweep %s: %w", id, err)
 		}
 		s.mu.Lock()
 		_, aerr := s.attachSweepLocked(id, spec, points)
@@ -538,7 +542,7 @@ func (s *Server) recoverSweeps() error {
 		s.mu.Unlock()
 		if aerr != nil {
 			log.Printf("serve: dropping unrecoverable sweep %s: %v", id, aerr)
-			s.store.RemoveSweep(id)
+			s.store.Remove(SweepKind, id)
 		}
 	}
 	return nil

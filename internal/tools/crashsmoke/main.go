@@ -124,7 +124,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if !store.HasResult(hash) {
+	if !store.Has(serve.JobKind, hash) {
 		fatal(fmt.Errorf("committed entry fails integrity verification after crash recovery"))
 	}
 	if store.HasCheckpoint(hash) {

@@ -13,7 +13,7 @@
 // It also checks the aggregated table artifacts (one row per point, in
 // both JSON and CSV forms) and leaves the state directory behind when
 // -state is given, so `make sweep-smoke` can fsck it with
-// artifactcheck -sweepstore.
+// artifactcheck -store.
 //
 //	sweepsmoke -bin /tmp/nucaserve -state /tmp/sweepsmoke-state
 package main
