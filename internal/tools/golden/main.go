@@ -1,7 +1,10 @@
 // Command golden generates the pinned-seed regression baseline under
-// testdata/golden/: the adaptive scheme's epoch time-series CSV and a
-// JSON summary of the run's deterministic outcomes (final partition
-// limits, evaluation/transfer counts, LLC totals). The simulator is
+// testdata/golden/: the adaptive scheme's epoch time-series CSV, a JSON
+// summary of the run's deterministic outcomes (final partition limits,
+// evaluation/transfer counts, LLC totals), and under results/ the
+// encoded Result (serve.EncodeResult: per-core IPC and CoreStats, LLC
+// and DRAM totals) of every organization on an LLC-intensive and a
+// non-intensive mix. The simulator is
 // fully deterministic for a fixed seed and mix — TestTraceDeterministic
 // pins that property — so any diff against these files is a behaviour
 // change that must be either fixed or deliberately re-baselined with
@@ -23,6 +26,7 @@ import (
 
 	"nucasim/internal/atomicio"
 	"nucasim/internal/llc"
+	"nucasim/internal/serve"
 	"nucasim/internal/sim"
 	"nucasim/internal/telemetry"
 	"nucasim/internal/workload"
@@ -33,6 +37,7 @@ import (
 const (
 	goldenSeed    = 1
 	goldenApps    = "ammp,swim,lucas,gzip"
+	goldenLight   = "gcc,crafty,eon,mesa" // non-intensive mix of results/
 	goldenWarmup  = 400_000
 	goldenCycles  = 200_000
 	goldenEpochs  = 1 << 16 // far above the evaluation count: nothing may drop
@@ -58,17 +63,10 @@ type summary struct {
 }
 
 func main() {
-	out := flag.String("out", "testdata/golden", "directory to write epoch.csv and limits.json into")
+	out := flag.String("out", "testdata/golden", "directory to write epoch.csv, limits.json and results/ into")
 	flag.Parse()
 
-	var mix []workload.AppParams
-	for _, name := range strings.Split(goldenApps, ",") {
-		p, ok := workload.ByName(name)
-		if !ok {
-			fatal("workload %q missing from suite", name)
-		}
-		mix = append(mix, p)
-	}
+	mix := mixOf(goldenApps)
 
 	r := sim.Run(sim.Config{
 		Scheme: sim.SchemeAdaptive, Seed: goldenSeed,
@@ -117,6 +115,51 @@ func main() {
 
 	fmt.Printf("golden: wrote %s (%d epochs) and %s (limits %v, %d/%d transfers)\n",
 		csvPath, len(r.Epochs), jsonPath, s.PartitionLimits, s.Transfers, s.Evaluations)
+
+	writeResults(filepath.Join(*out, "results"))
+}
+
+// writeResults pins the encoded Result of every organization on the
+// golden mix and on a non-intensive one, as results/<scheme>-<mix>.json,
+// so a change to core timing or to any baseline LLC shows as a diff.
+func writeResults(dir string) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		fatal("%v", err)
+	}
+	for _, apps := range []string{goldenApps, goldenLight} {
+		mix := mixOf(apps)
+		for _, scheme := range sim.Schemes() {
+			r := sim.Run(sim.Config{
+				Scheme: scheme, Seed: goldenSeed,
+				WarmupInstructions: goldenWarmup, MeasureCycles: goldenCycles,
+			}, mix)
+			data, err := serve.EncodeResult(r)
+			if err != nil {
+				fatal("encode %s: %v", scheme, err)
+			}
+			name := fmt.Sprintf("%s-%s.json", scheme, strings.ReplaceAll(apps, ",", "-"))
+			path := filepath.Join(dir, name)
+			if err := atomicio.WriteFile(path, func(w io.Writer) error {
+				_, werr := w.Write(data)
+				return werr
+			}); err != nil {
+				fatal("write %s: %v", path, err)
+			}
+			fmt.Printf("golden: wrote %s (IPC %v)\n", path, r.PerCoreIPC)
+		}
+	}
+}
+
+func mixOf(apps string) []workload.AppParams {
+	var mix []workload.AppParams
+	for _, name := range strings.Split(apps, ",") {
+		p, ok := workload.ByName(name)
+		if !ok {
+			fatal("workload %q missing from suite", name)
+		}
+		mix = append(mix, p)
+	}
+	return mix
 }
 
 func fatal(format string, args ...any) {
