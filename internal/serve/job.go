@@ -283,13 +283,13 @@ type Status struct {
 	// TraceID correlates everything observable about the job — NDJSON
 	// progress events, pprof "job" labels, and the spans.json wall-clock
 	// trace — and equals the job ID (the canonical-spec hash).
-	TraceID       string             `json:"trace_id"`
-	QueuePosition int                `json:"queue_position,omitempty"` // jobs ahead; only while queued
+	TraceID       string `json:"trace_id"`
+	QueuePosition int    `json:"queue_position,omitempty"` // jobs ahead; only while queued
 	// QueueDepthAtSubmit is the FIFO depth (including this job) when it
 	// was accepted — how congested the server was at submission.
-	QueueDepthAtSubmit int                `json:"queue_depth_at_submit,omitempty"`
-	Cached             bool               `json:"cached,omitempty"`
-	Resumed            bool               `json:"resumed,omitempty"`
+	QueueDepthAtSubmit int  `json:"queue_depth_at_submit,omitempty"`
+	Cached             bool `json:"cached,omitempty"`
+	Resumed            bool `json:"resumed,omitempty"`
 	// Forked marks a sweep point whose measurement window resumed from
 	// its warmup group's shared checkpoint instead of re-running warmup.
 	Forked bool   `json:"forked,omitempty"`
@@ -299,11 +299,11 @@ type Status struct {
 	Stack string `json:"stack,omitempty"`
 	// Retries counts from-scratch reruns after transient failures (e.g.
 	// an undecodable checkpoint that was deleted).
-	Retries int `json:"retries,omitempty"`
-	Progress           telemetry.Progress `json:"progress,omitempty"`
-	EpochsSeen         int                `json:"epochs_seen"` // live epoch samples observed so far
-	Scheme             string             `json:"scheme"`
-	Apps               []string           `json:"apps"`
+	Retries    int                `json:"retries,omitempty"`
+	Progress   telemetry.Progress `json:"progress,omitempty"`
+	EpochsSeen int                `json:"epochs_seen"` // live epoch samples observed so far
+	Scheme     string             `json:"scheme"`
+	Apps       []string           `json:"apps"`
 }
 
 // status snapshots the job; queuePos is computed by the server (-1 when

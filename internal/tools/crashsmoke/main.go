@@ -7,13 +7,15 @@
 //  1. the restarted server resumes the job from its periodic
 //     crash-safety checkpoint (the status reports resumed=true) and
 //     finishes it;
+//
 //  2. the served result is byte-identical to an uninterrupted in-process
 //     run of the same spec (the determinism contract survives a kill);
+//
 //  3. the state directory passes the store's own integrity verification
 //     afterwards — every committed artifact matches its manifest and
 //     nothing was quarantined.
 //
-//	crashsmoke -bin /tmp/nucaserve
+//     crashsmoke -bin /tmp/nucaserve
 package main
 
 import (
