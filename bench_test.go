@@ -324,9 +324,27 @@ func BenchmarkAblationInitialPartition(b *testing.B) {
 
 // --- Microbenchmarks of the hot simulation paths ---
 
+// BenchmarkSimulatorCycle times one 4-core machine cycle on a
+// compute-bound mix (gcc ×4): cores rarely idle, so nearly every cycle
+// steps every core.
 func BenchmarkSimulatorCycle(b *testing.B) {
 	p, _ := workload.ByName("gcc")
-	mix := []workload.AppParams{p, p, p, p}
+	benchCycles(b, []workload.AppParams{p, p, p, p})
+}
+
+// BenchmarkSimulatorCycleMemBound is BenchmarkSimulatorCycle on the
+// memory-bound ammp, art, mcf, swim: cores mostly wait on the LLC and
+// DRAM, the cycles the event-driven loop skips.
+func BenchmarkSimulatorCycleMemBound(b *testing.B) {
+	var mix []workload.AppParams
+	for _, name := range []string{"ammp", "art", "mcf", "swim"} {
+		p, _ := workload.ByName(name)
+		mix = append(mix, p)
+	}
+	benchCycles(b, mix)
+}
+
+func benchCycles(b *testing.B, mix []workload.AppParams) {
 	m := sim.NewMachine(sim.Config{Scheme: sim.SchemeAdaptive, Seed: 1}, mix)
 	m.WarmFunctional(200_000)
 	b.ResetTimer()

@@ -7,9 +7,12 @@
 // overlap — the memory-level parallelism that determines how much a cache
 // miss actually costs).
 //
-// The model runs in lockstep with its siblings: the simulator calls
-// Step(now) once per core per cycle so that contention in the shared
-// last-level cache and memory channel is interleaved faithfully.
+// Step(now) advances a core by one cycle and records its wake: the
+// earliest later cycle at which another Step could change its state. The
+// simulator steps each core only at its wake, in index order among cores
+// due in the same cycle, and credits the cycles in between with Idle, so
+// contention in the shared last-level cache and memory channel is
+// interleaved exactly as if every core stepped every cycle.
 //
 // Approximations (standard for trace-driven OoO models, documented in
 // DESIGN.md): mispredicted branches stall dispatch until the branch
@@ -20,6 +23,7 @@ package cpu
 
 import (
 	"math"
+	"math/bits"
 
 	"nucasim/internal/bpred"
 	"nucasim/internal/memaddr"
@@ -136,11 +140,13 @@ type Core struct {
 	port Port
 	bp   *bpred.Predictor
 
-	// RUU ring buffer. head/tail are absolute instruction positions
-	// (index = pos % RUUSize); scanAbs is the issue-scan frontier:
-	// every entry before it is already issued, so the per-cycle scan
-	// skips the (often long) issued prefix.
+	// RUU ring buffer of ruuMask+1 slots, the smallest power of two
+	// holding RUUSize entries. head/tail are absolute instruction
+	// positions (index = pos & ruuMask); scanAbs is the issue-scan
+	// frontier: every entry before it is already issued, so the
+	// per-cycle scan skips the (often long) issued prefix.
 	ruu     []ruuEntry
+	ruuMask uint64
 	head    uint64
 	tail    uint64
 	scanAbs uint64
@@ -168,27 +174,45 @@ type Core struct {
 
 	nextSeq uint64
 	stats   Stats
+
+	// wake is the earliest cycle at which Step can change the core's
+	// state; every Step before it only ticks stall counters. Derived, so
+	// never checkpointed: 0 after New and Restore, which makes the next
+	// cycle step.
+	wake uint64
 }
+
+// readyRing is the length of readyBySeq, a power of two far beyond any
+// RUU window, indexed by seq & (readyRing-1).
+const readyRing = 4096
 
 // New builds a core over an instruction generator, a memory port, and a
 // branch predictor (each core owns its own predictor).
 func New(id int, cfg Config, gen *workload.Generator, port Port, bp *bpred.Predictor) *Core {
 	cfg = cfg.withDefaults()
+	slots := 1 << bits.Len(uint(cfg.RUUSize-1))
 	return &Core{
 		ID:         id,
 		cfg:        cfg,
 		gen:        gen,
 		port:       port,
 		bp:         bp,
-		ruu:        make([]ruuEntry, cfg.RUUSize),
+		ruu:        make([]ruuEntry, slots),
+		ruuMask:    uint64(slots - 1),
 		fetchQ:     make([]workload.Instr, 0, cfg.FetchQueue),
-		readyBySeq: make([]uint64, 4096),
+		readyBySeq: make([]uint64, readyRing),
 		nextSeq:    1, // seq 0 means "no producer"
 	}
 }
 
 // Stats returns a copy of the counters.
 func (c *Core) Stats() Stats { return c.stats }
+
+// Wake returns the earliest cycle at which Step can change the core's
+// state, as of its last Step. It is a conservative bound: never later
+// than the true next state change, and possibly earlier, which costs
+// only a Step that changes nothing.
+func (c *Core) Wake() uint64 { return c.wake }
 
 // WarmFunctional advances the core's program by n instructions without
 // timing: memory references walk the cache hierarchy (filling it) and
@@ -223,18 +247,99 @@ func (c *Core) WarmFunctional(n uint64) {
 func (c *Core) Step(now uint64) {
 	c.stats.Cycles++
 	c.commit(now)
-	c.issue(now)
+	wake := c.issue(now)
+	dispatched := c.tail
 	c.dispatch(now)
 	c.fetch(now)
+	c.wake = c.nextWake(now, wake, dispatched)
+}
+
+// Idle accounts for the cycles [from, to) in which the core was not
+// stepped; to must not pass Wake. A Step in any of them would only have
+// ticked stall counters and retired completed MSHR entries, so Idle does
+// exactly that. Wake never passes a pending dispatchHold or fetchReady,
+// so each stall counter ticks on every one of these cycles or on none.
+func (c *Core) Idle(from, to uint64) {
+	if from >= to {
+		return
+	}
+	n := to - from
+	c.stats.Cycles += n
+	if c.pendingHoldSet || c.dispatchHold > from || len(c.fetchQ) > 0 {
+		c.stats.DispatchStalls += n
+	}
+	if c.fetchReady > from {
+		c.stats.FetchStalls += n
+	}
+	c.retireMSHRs(to - 1)
+}
+
+// nextWake bounds the next cycle after now at which Step could change
+// the core's state, given the issue scan's bound and the RUU position
+// where this cycle's dispatch began.
+func (c *Core) nextWake(now, wake, dispatched uint64) uint64 {
+	// Commit: the head completes.
+	if c.head < c.tail {
+		wake = min(wake, c.ruu[c.head&c.ruuMask].readyAt)
+	}
+	// Issue of the entries dispatched after this cycle's scan: once both
+	// producers have issued, no earlier than both complete. An entry with
+	// an unissued producer waits on that producer's issue, an older
+	// event bounded by its own entry.
+	for pos := dispatched; pos < c.tail; pos++ {
+		e := &c.ruu[pos&c.ruuMask]
+		wake = min(wake, max(c.producerReady(e.depA), c.producerReady(e.depB)))
+	}
+	// Dispatch: an unresolved mispredicted branch holds it until the
+	// branch issues, an issue event bounded above; a refill penalty ends
+	// at dispatchHold, which also ends its stall count.
+	switch {
+	case c.pendingHoldSet:
+	case c.dispatchHold > now:
+		wake = min(wake, c.dispatchHold)
+	case len(c.fetchQ) > 0 && c.canDispatch(c.fetchQ[0].Class):
+		return now + 1
+	}
+	// Fetch: an I-side miss ends at fetchReady, which also ends its
+	// stall count; otherwise fetch proceeds while the queue has room.
+	if c.fetchReady > now {
+		wake = min(wake, c.fetchReady)
+	} else if len(c.fetchQ) < c.cfg.FetchQueue {
+		return now + 1
+	}
+	return max(wake, now+1)
+}
+
+// canDispatch reports whether the RUU, and for a memory instruction
+// the LSQ, have room for one more entry.
+func (c *Core) canDispatch(cls workload.Class) bool {
+	if c.tail-c.head == uint64(c.cfg.RUUSize) {
+		return false
+	}
+	return !isMem(cls) || c.lsqLen < c.cfg.LSQSize
+}
+
+func isMem(cls workload.Class) bool { return cls == workload.Load || cls == workload.Store }
+
+// retireMSHRs frees the MSHR entries whose miss has completed by cycle
+// now.
+func (c *Core) retireMSHRs(now uint64) {
+	keep := c.mshr[:0]
+	for _, t := range c.mshr {
+		if t > now {
+			keep = append(keep, t)
+		}
+	}
+	c.mshr = keep
 }
 
 func (c *Core) commit(now uint64) {
 	for n := 0; n < c.cfg.Width && c.head < c.tail; n++ {
-		e := &c.ruu[c.head%uint64(c.cfg.RUUSize)]
+		e := &c.ruu[c.head&c.ruuMask]
 		if !e.issued || e.readyAt > now {
 			return
 		}
-		if e.cls == workload.Load || e.cls == workload.Store {
+		if isMem(e.cls) {
 			c.lsqLen--
 		}
 		c.head++
@@ -248,107 +353,106 @@ func (c *Core) producerReady(dep uint64) uint64 {
 	if dep == 0 {
 		return 0
 	}
-	return c.readyBySeq[dep%uint64(len(c.readyBySeq))]
+	return c.readyBySeq[dep&(readyRing-1)]
 }
 
-func (c *Core) issue(now uint64) {
+// issue selects up to Width entries whose operands are ready, oldest
+// first, and returns its part of the core's wake: the earliest cycle at
+// which an entry it left unissued could issue.
+func (c *Core) issue(now uint64) (wake uint64) {
 	intALU, fpALU := c.cfg.IntALUs, c.cfg.FPALUs
 	intMul, fpMul := c.cfg.IntMuls, c.cfg.FPMuls
 	memPorts := c.cfg.MemPorts
 	issued := 0
-	// Retire completed MSHR entries.
-	keep := c.mshr[:0]
-	for _, t := range c.mshr {
-		if t > now {
-			keep = append(keep, t)
-		}
-	}
-	c.mshr = keep
+	c.retireMSHRs(now)
 
-	start := c.scanAbs
-	if start < c.head {
-		start = c.head
-	}
+	wake = notIssued
+	// mshrFull marks a memory entry held back by a full MSHR file; it
+	// can issue once the earliest outstanding miss completes.
+	mshrFull := false
+	start := max(c.scanAbs, c.head)
 	// newScan becomes the first position that is (or may be) unissued
 	// after this cycle's pass.
 	newScan := c.tail
-	size := uint64(c.cfg.RUUSize)
 	for pos := start; pos < c.tail; pos++ {
 		if issued == c.cfg.Width {
-			if pos < newScan {
-				newScan = pos
-			}
+			newScan = min(newScan, pos)
+			wake = now + 1
 			break
 		}
-		e := &c.ruu[pos%size]
+		e := &c.ruu[pos&c.ruuMask]
 		if e.issued {
 			continue
 		}
-		stuck := func() {
+		if a, b := c.producerReady(e.depA), c.producerReady(e.depB); a > now || b > now {
+			// Ready once both producers complete; an unissued producer
+			// (notIssued) is an older entry that bounds the wake itself.
+			wake = min(wake, max(a, b))
 			if newScan == c.tail {
 				newScan = pos
 			}
-		}
-		if a := c.producerReady(e.depA); a > now {
-			stuck()
 			continue
 		}
-		if b := c.producerReady(e.depB); b > now {
-			stuck()
-			continue
-		}
+		// Operands are ready. A unit or port taken this cycle is free
+		// again the next, so a blocked entry wakes at now+1.
 		switch e.cls {
 		case workload.IntALU, workload.Branch:
-			if intALU == 0 {
-				stuck()
-				continue
+			if intALU > 0 {
+				intALU--
+				e.readyAt = now + uint64(c.cfg.IntALULat)
+				e.issued = true
 			}
-			intALU--
-			e.readyAt = now + uint64(c.cfg.IntALULat)
 		case workload.IntMul:
-			if intMul == 0 {
-				stuck()
-				continue
+			if intMul > 0 {
+				intMul--
+				e.readyAt = now + uint64(c.cfg.IntMulLat)
+				e.issued = true
 			}
-			intMul--
-			e.readyAt = now + uint64(c.cfg.IntMulLat)
 		case workload.FPALU:
-			if fpALU == 0 {
-				stuck()
-				continue
+			if fpALU > 0 {
+				fpALU--
+				e.readyAt = now + uint64(c.cfg.FPALULat)
+				e.issued = true
 			}
-			fpALU--
-			e.readyAt = now + uint64(c.cfg.FPALULat)
 		case workload.FPMul:
-			if fpMul == 0 {
-				stuck()
-				continue
+			if fpMul > 0 {
+				fpMul--
+				e.readyAt = now + uint64(c.cfg.FPMulLat)
+				e.issued = true
 			}
-			fpMul--
-			e.readyAt = now + uint64(c.cfg.FPMulLat)
-		case workload.Load:
-			if memPorts == 0 || len(c.mshr) >= c.cfg.MSHRs {
-				stuck()
-				continue
+		case workload.Load, workload.Store:
+			if memPorts == 0 {
+				break
 			}
-			memPorts--
-			e.readyAt = c.port.ReadData(e.addr, now)
-			if e.readyAt > now+missThreshold {
-				c.mshr = append(c.mshr, e.readyAt)
-			}
-		case workload.Store:
-			if memPorts == 0 || len(c.mshr) >= c.cfg.MSHRs {
-				stuck()
+			if len(c.mshr) >= c.cfg.MSHRs {
+				mshrFull = true
+				if newScan == c.tail {
+					newScan = pos
+				}
 				continue
 			}
 			memPorts--
-			// Write-buffer approximation: traffic charged now,
-			// completion at L1 write latency.
-			c.port.WriteData(e.addr, now)
-			e.readyAt = now + 3
+			if e.cls == workload.Load {
+				e.readyAt = c.port.ReadData(e.addr, now)
+				if e.readyAt > now+missThreshold {
+					c.mshr = append(c.mshr, e.readyAt)
+				}
+			} else {
+				// Write-buffer approximation: traffic charged now,
+				// completion at L1 write latency.
+				c.port.WriteData(e.addr, now)
+				e.readyAt = now + 3
+			}
+			e.issued = true
 		}
-		e.issued = true
-		c.readyBySeq[e.seq%uint64(len(c.readyBySeq))] = e.readyAt
+		if !e.issued {
+			wake = now + 1
+			if newScan == c.tail {
+				newScan = pos
+			}
+			continue
+		}
+		c.readyBySeq[e.seq&(readyRing-1)] = e.readyAt
 		issued++
 		// A resolving mispredicted branch releases dispatch after the
 		// refill penalty.
@@ -358,6 +462,12 @@ func (c *Core) issue(now uint64) {
 		}
 	}
 	c.scanAbs = newScan
+	if mshrFull {
+		for _, t := range c.mshr {
+			wake = min(wake, t)
+		}
+	}
+	return wake
 }
 
 // missThreshold is the latency above which a load counts as an L2-or-worse
@@ -370,16 +480,12 @@ func (c *Core) dispatch(now uint64) {
 		return
 	}
 	for n := 0; n < c.cfg.Width && len(c.fetchQ) > 0; n++ {
-		if c.tail-c.head == uint64(c.cfg.RUUSize) {
-			c.stats.DispatchStalls++
-			return
-		}
 		ins := c.fetchQ[0]
-		isMem := ins.Class == workload.Load || ins.Class == workload.Store
-		if isMem && c.lsqLen == c.cfg.LSQSize {
+		if !c.canDispatch(ins.Class) {
 			c.stats.DispatchStalls++
 			return
 		}
+		mem := isMem(ins.Class)
 		c.fetchQ = c.fetchQ[:copy(c.fetchQ, c.fetchQ[1:])]
 		seq := c.nextSeq
 		c.nextSeq++
@@ -399,10 +505,10 @@ func (c *Core) dispatch(now uint64) {
 		}
 		// Mark the slot in readyBySeq as pending so dependents never
 		// see a stale completion from a previous lap of the ring.
-		c.readyBySeq[seq%uint64(len(c.readyBySeq))] = notIssued
-		c.ruu[c.tail%uint64(c.cfg.RUUSize)] = e
+		c.readyBySeq[seq&(readyRing-1)] = notIssued
+		c.ruu[c.tail&c.ruuMask] = e
 		c.tail++
-		if isMem {
+		if mem {
 			c.lsqLen++
 			if ins.Class == workload.Load {
 				c.stats.Loads++

@@ -36,8 +36,9 @@ const (
 	warmSegment = 200_000
 
 	// measureChunk is the timed-cycle granularity between context checks.
-	// Machine.Run is a plain cycle loop, so chunk boundaries cannot
-	// change simulation state; they only bound cancellation latency.
+	// Machine.Run leaves every core in the state a step-every-cycle loop
+	// would, so chunk boundaries cannot change simulation state; they
+	// only bound cancellation latency.
 	measureChunk = 4096
 )
 

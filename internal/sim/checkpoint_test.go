@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"nucasim/internal/telemetry"
+	"nucasim/internal/workload"
 )
 
 // ckConfig is a small adaptive run with telemetry and invariant checks,
@@ -33,20 +34,38 @@ func ckConfig() Config {
 // run interrupted mid-measurement and resumed from its checkpoint must
 // produce the same partition limits, counters, per-core statistics and
 // byte-identical epoch CSV as the same-seed run that was never
-// interrupted.
+// interrupted. The inputs include a 4-core memory-bound mix and an
+// interrupt that is not on a measurement-chunk boundary, where cores are
+// captured between their event-driven steps.
 func TestCheckpointResumeBitIdentical(t *testing.T) {
-	mix := mixOf(t, "ammp", "gzip")
+	for _, tc := range []struct {
+		name      string
+		apps      []string
+		stopAfter uint64
+	}{
+		{"2core", []string{"ammp", "gzip"}, 25_000},
+		{"2core-unaligned", []string{"ammp", "gzip"}, 25_001},
+		{"4core-membound-unaligned", []string{"ammp", "art", "mcf", "swim"}, 25_001},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			checkResumeBitIdentical(t, mixOf(t, tc.apps...), tc.stopAfter)
+		})
+	}
+}
 
-	ref, err := RunContext(context.Background(), ckConfig(), mix)
+func checkResumeBitIdentical(t *testing.T, mix []workload.AppParams, stopAfter uint64) {
+	base := ckConfig()
+	base.Cores = len(mix)
+	ref, err := RunContext(context.Background(), base, mix)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	path := filepath.Join(t.TempDir(), "run.ckpt")
-	cfg := ckConfig()
+	cfg := base
 	cfg.CheckpointPath = path
 	cfg.CheckpointEvery = 10_000
-	cfg.StopAfter = 25_000
+	cfg.StopAfter = stopAfter
 	if _, err := RunContext(context.Background(), cfg, mix); !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("interrupted run returned %v, want ErrInterrupted", err)
 	}

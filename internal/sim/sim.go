@@ -3,7 +3,8 @@
 // hierarchies (internal/hierarchy), one of the last-level cache
 // organizations the paper compares (private, shared, 4× private,
 // cooperative "random replacement", or the adaptive scheme), and the
-// shared memory channel, then runs them in cycle lockstep.
+// shared memory channel, then runs them cycle by cycle, stepping each
+// core only at the cycles where it can change state (Machine.Run).
 //
 // A run consists of a warmup phase (caches and predictors fill; the paper
 // fast-forwards 0.5-1.5 G instructions) followed by a measurement window
@@ -375,14 +376,42 @@ var cyclesSimulated atomic.Uint64
 // cycles executed so far.
 func CyclesSimulated() uint64 { return cyclesSimulated.Load() }
 
-// Run advances all cores in lockstep for the given number of cycles.
+// Run advances the machine by the given number of cycles. It is event
+// driven: it jumps to the earliest wake over all cores (cpu.Core.Wake)
+// and steps, in index order, only the cores due at that cycle, so the
+// shared LLC and memory channel see the same accesses in the same order
+// as a loop stepping every core every cycle. A core's skipped cycles are
+// credited in bulk (cpu.Core.Idle) before its next step and at the end,
+// so every core's state on return equals that loop's.
 func (m *Machine) Run(cycles uint64) {
 	end := m.now + cycles
-	for ; m.now < end; m.now++ {
-		for _, c := range m.Cores {
-			c.Step(m.now)
-		}
+	// synced[i] is the first cycle core i has not yet accounted for.
+	synced := make([]uint64, len(m.Cores))
+	for i := range synced {
+		synced[i] = m.now
 	}
+	for {
+		now := end
+		for _, c := range m.Cores {
+			now = min(now, c.Wake())
+		}
+		now = max(now, m.now)
+		if now == end {
+			break
+		}
+		for i, c := range m.Cores {
+			if c.Wake() <= now {
+				c.Idle(synced[i], now)
+				c.Step(now)
+				synced[i] = now + 1
+			}
+		}
+		m.now = now + 1
+	}
+	for i, c := range m.Cores {
+		c.Idle(synced[i], end)
+	}
+	m.now = end
 	cyclesSimulated.Add(cycles)
 }
 
