@@ -1,11 +1,13 @@
 # nucasim build/verify entry points. `make ci` is what the GitHub
-# workflow runs: vet, build, race-enabled tests, a smoke run that checks
-# the telemetry artifacts actually parse, the replay self-verify
-# cross-check, and a diff against the pinned golden baseline.
+# workflow runs: vet, build, race-enabled tests (which include the
+# replay self-verify and checkpoint-resume bit-identity checks), a smoke
+# run that checks the telemetry artifacts actually parse, the
+# end-to-end smoke of the real nucaserve binary, and a diff against the
+# pinned golden baseline.
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test race bench bench-smoke bench-serve bench-sweep smoke span-smoke serve-smoke sweep-smoke crash-smoke replay-verify golden golden-check fault-coverage resume-smoke fuzz-smoke staticcheck govulncheck ci clean
+.PHONY: all build vet fmt-check test race bench bench-smoke bench-serve bench-sweep smoke e2e-smoke golden golden-check fault-coverage fuzz-smoke staticcheck govulncheck ci clean
 
 all: build
 
@@ -44,52 +46,32 @@ bench: build
 	@echo "bench record written to BENCH_core.json"
 
 # One-shot benchmark smoke for CI: both adaptive access paths must stay
-# allocation-free (the flat-arena engine's guarantee), and the fully
-# instrumented path must cost no more than 2x the bare one.
+# allocation-free (the flat-arena engine's guarantee), the fully
+# instrumented path must cost no more than 2x the bare one, and the
+# wall-clock span hot path — enabled, and disabled as every untraced
+# run pays it at each phase boundary — must stay allocation-free.
 bench-smoke: build
-	$(GO) test -run '^$$' -bench 'BenchmarkAdaptiveAccess(Telemetry)?$$' -benchmem \
+	$(GO) test -run '^$$' -bench 'BenchmarkAdaptiveAccess(Telemetry)?$$|BenchmarkSpanStartEnd' -benchmem \
 		-benchtime=200000x -count=3 . | tee /tmp/nucasim-bench-smoke.txt
 	$(GO) run ./internal/tools/benchjson -in /tmp/nucasim-bench-smoke.txt \
 		-out /tmp/nucasim-bench-smoke.json \
-		-require BenchmarkAdaptiveAccess,BenchmarkAdaptiveAccessTelemetry \
-		-assert-zero-allocs BenchmarkAdaptiveAccess,BenchmarkAdaptiveAccessTelemetry \
+		-require BenchmarkAdaptiveAccess,BenchmarkAdaptiveAccessTelemetry,BenchmarkSpanStartEnd,BenchmarkSpanStartEndDisabled \
+		-assert-zero-allocs BenchmarkAdaptiveAccess,BenchmarkAdaptiveAccessTelemetry,BenchmarkSpanStartEnd,BenchmarkSpanStartEndDisabled \
 		-max-ratio BenchmarkAdaptiveAccessTelemetry/BenchmarkAdaptiveAccess=2.0
 	@echo bench-smoke ok
 
-# Smoke-test the observability pipeline end to end: a short adaptive run
-# must produce an epoch CSV and a JSONL trace that parse, with one CSV
-# row per evaluation.
+# Smoke-test the observability pipeline end to end: one short adaptive
+# run must produce an epoch CSV and a JSONL trace that parse, with one
+# CSV row per evaluation, and a schema-valid Perfetto-loadable span
+# trace containing every expected phase span.
 smoke: build
 	$(GO) run ./cmd/nucasim -scheme adaptive -cycles 100000 \
 		-metrics-out /tmp/nucasim-smoke.csv -trace-out /tmp/nucasim-smoke.jsonl \
-		> /tmp/nucasim-smoke.txt
+		-span-out /tmp/nucasim-spans.json > /tmp/nucasim-smoke.txt
 	$(GO) run ./internal/tools/artifactcheck \
-		-metrics /tmp/nucasim-smoke.csv -trace /tmp/nucasim-smoke.jsonl
-	@echo smoke ok
-
-# Smoke-test the wall-clock span pipeline: a short adaptive run with
-# -span-out must emit a schema-valid Perfetto-loadable trace containing
-# every expected phase span, and the spans-disabled hot path (what every
-# untraced run pays at each phase boundary) must stay allocation-free.
-span-smoke: build
-	$(GO) run ./cmd/nucasim -scheme adaptive -cycles 100000 \
-		-metrics-out /tmp/nucasim-span-smoke.csv -trace-out /tmp/nucasim-span-smoke.jsonl \
-		-span-out /tmp/nucasim-spans.json > /tmp/nucasim-span-smoke.txt
-	$(GO) run ./internal/tools/artifactcheck -spans /tmp/nucasim-spans.json \
+		-metrics /tmp/nucasim-smoke.csv -trace /tmp/nucasim-smoke.jsonl -spans /tmp/nucasim-spans.json \
 		-spans-require nucasim,sim.run,sim.warmup_functional,sim.warmup_segment,sim.warmup_cycles,sim.warmup_chunk,sim.measure,sim.measure_chunk,adaptive.repartition,artifact.epoch_csv,artifact.trace_commit
-	$(GO) test -run '^$$' -bench 'BenchmarkSpanStartEnd' -benchmem \
-		-benchtime=200000x -count=3 . | tee /tmp/nucasim-span-bench.txt
-	$(GO) run ./internal/tools/benchjson -in /tmp/nucasim-span-bench.txt \
-		-out /tmp/nucasim-span-bench.json \
-		-require BenchmarkSpanStartEnd,BenchmarkSpanStartEndDisabled \
-		-assert-zero-allocs BenchmarkSpanStartEnd,BenchmarkSpanStartEndDisabled
-	@echo span-smoke ok
-
-# Cross-check trace-reconstructed cache state against the live cache at
-# every repartition epoch of a pinned mixed-app run (see cmd/nucadbg and
-# internal/replay). Catches tracer/replayer/simulator divergence.
-replay-verify: build
-	$(GO) run ./internal/tools/artifactcheck -selfverify
+	@echo smoke ok
 
 # Regenerate the pinned-seed regression baseline. Run this (and commit
 # the result) only when a behaviour change is intended.
@@ -99,8 +81,7 @@ golden: build
 # Regenerate the baseline into a scratch dir and diff against the
 # committed one: any difference is an unintended behaviour change.
 golden-check: build
-	rm -rf /tmp/nucasim-golden /tmp/nucasim-sweepsmoke
-	rm -f /tmp/nucasim-bench-sweep.txt
+	rm -rf /tmp/nucasim-golden
 	$(GO) run ./internal/tools/golden -out /tmp/nucasim-golden
 	diff -u testdata/golden/epoch.csv /tmp/nucasim-golden/epoch.csv
 	diff -u testdata/golden/limits.json /tmp/nucasim-golden/limits.json
@@ -117,39 +98,19 @@ fault-coverage: build
 		> /tmp/nucasim-invariants.txt
 	@echo "invariant sweep ok (I1-I9 under -check-invariants)"
 
-# Interrupt-and-resume smoke: stop a pinned run mid-measurement via its
-# checkpoint, resume it, and require bit-identical results.
-resume-smoke: build
-	$(GO) run ./internal/tools/artifactcheck -resumesmoke
-
-# End-to-end smoke of the HTTP service: build the real nucaserve binary,
-# run a job through it, SIGTERM it, restart it on the same state dir and
-# require the resubmission to be a byte-identical cache hit.
-serve-smoke: build
+# End-to-end smoke of the real nucaserve binary (internal/tools/e2esmoke):
+# a job through its lifecycle, a restart answering it as a
+# byte-identical cache hit, an 8-point shared-warmup sweep whose forked
+# points match cold runs byte for byte, and a SIGKILL mid-job that a
+# restart resumes from its checkpoint. Every state directory it leaves
+# must then pass the store fsck.
+e2e-smoke: build
 	$(GO) build -o /tmp/nucaserve ./cmd/nucaserve
-	$(GO) run ./internal/tools/servesmoke -bin /tmp/nucaserve
-
-# End-to-end smoke of the sweep orchestration service: run an 8-point
-# shared-warmup sweep through the real nucaserve binary, assert from
-# the /metrics counters that the warmup ran exactly once and all 8
-# points forked its checkpoint, byte-compare every forked result
-# against a cold in-process run, then fsck the state directory's job
-# and sweep entries against their integrity manifests.
-sweep-smoke: build
-	$(GO) build -o /tmp/nucaserve ./cmd/nucaserve
-	rm -rf /tmp/nucasim-sweepsmoke
-	$(GO) run ./internal/tools/sweepsmoke -bin /tmp/nucaserve -state /tmp/nucasim-sweepsmoke
-	$(GO) run ./internal/tools/artifactcheck -store /tmp/nucasim-sweepsmoke
-	@echo sweep-smoke ok
-
-# Crash-consistency smoke: SIGKILL the real server binary mid-job (no
-# drain, no signal handler — what the OOM killer does), restart it over
-# the same state directory, and require the job to resume from its
-# periodic checkpoint with a byte-identical result and a state dir that
-# passes integrity verification.
-crash-smoke: build
-	$(GO) build -o /tmp/nucaserve ./cmd/nucaserve
-	$(GO) run ./internal/tools/crashsmoke -bin /tmp/nucaserve
+	$(GO) run ./internal/tools/e2esmoke -bin /tmp/nucaserve -state /tmp/nucasim-e2e
+	for s in serve sweep crash; do \
+		$(GO) run ./internal/tools/artifactcheck -store /tmp/nucasim-e2e/$$s || exit 1; \
+	done
+	@echo e2e-smoke ok
 
 # Benchmark the service's submit path on a warmed cache (decode,
 # canonicalize, hash, dedup, respond) into BENCH_serve.json.
@@ -195,11 +156,9 @@ govulncheck:
 		echo "govulncheck not installed; skipping (CI installs it)"; \
 	fi
 
-ci: fmt-check vet staticcheck build race smoke span-smoke serve-smoke sweep-smoke crash-smoke replay-verify golden-check fault-coverage bench-smoke resume-smoke fuzz-smoke govulncheck
+ci: fmt-check vet staticcheck build race smoke e2e-smoke golden-check fault-coverage bench-smoke fuzz-smoke govulncheck
 
 clean:
-	rm -f /tmp/nucasim-smoke.csv /tmp/nucasim-smoke.jsonl /tmp/nucasim-smoke.txt
-	rm -f /tmp/nucasim-spans.json /tmp/nucasim-span-smoke.txt /tmp/nucasim-span-smoke.csv
-	rm -f /tmp/nucasim-span-smoke.jsonl /tmp/nucasim-span-bench.txt /tmp/nucasim-span-bench.json
-	rm -rf /tmp/nucasim-golden /tmp/nucasim-sweepsmoke
-	rm -f /tmp/nucasim-bench-sweep.txt
+	rm -f /tmp/nucasim-smoke.csv /tmp/nucasim-smoke.jsonl /tmp/nucasim-smoke.txt /tmp/nucasim-spans.json
+	rm -f /tmp/nucasim-bench-smoke.txt /tmp/nucasim-bench-smoke.json /tmp/nucasim-bench-sweep.txt
+	rm -rf /tmp/nucasim-golden /tmp/nucasim-e2e /tmp/nucaserve

@@ -67,9 +67,6 @@ func (r *Rand) Uint64() uint64 {
 	return result
 }
 
-// Uint32 returns the next 32 random bits.
-func (r *Rand) Uint32() uint32 { return uint32(r.Uint64() >> 32) }
-
 // Intn returns a uniformly distributed int in [0, n). It panics if n <= 0.
 func (r *Rand) Intn(n int) int {
 	if n <= 0 {
@@ -112,17 +109,6 @@ func (r *Rand) Bool(p float64) bool {
 		return true
 	}
 	return r.Float64() < p
-}
-
-// Geometric returns a sample from a geometric distribution with mean m
-// (number of trials until first success, minimum 1). Used for dependency
-// distances and burst lengths. Hot paths that draw with a fixed mean
-// should use a GeometricSource instead, which hoists the constant log.
-func (r *Rand) Geometric(m float64) int {
-	if m <= 1 {
-		return 1
-	}
-	return r.geometricWithDenom(math.Log(1 - 1/m))
 }
 
 func (r *Rand) geometricWithDenom(logOneMinusP float64) int {
@@ -185,32 +171,4 @@ func (r *Rand) Zipf(n int, s float64) int {
 		i = n - 1
 	}
 	return i
-}
-
-// Perm fills dst with a random permutation of [0, len(dst)).
-func (r *Rand) Perm(dst []int) {
-	for i := range dst {
-		dst[i] = i
-	}
-	for i := len(dst) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		dst[i], dst[j] = dst[j], dst[i]
-	}
-}
-
-// PickN writes n distinct values drawn uniformly from [0, m) into dst[:n]
-// using a partial Fisher-Yates over a scratch slice. Panics if n > m.
-func (r *Rand) PickN(dst []int, n, m int) {
-	if n > m {
-		panic("rng: PickN with n > m")
-	}
-	scratch := make([]int, m)
-	for i := range scratch {
-		scratch[i] = i
-	}
-	for i := 0; i < n; i++ {
-		j := i + r.Intn(m-i)
-		scratch[i], scratch[j] = scratch[j], scratch[i]
-		dst[i] = scratch[i]
-	}
 }

@@ -2,70 +2,18 @@ package serve
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"time"
 
 	"nucasim/internal/sim"
+	"nucasim/internal/sweep"
 	"nucasim/internal/telemetry"
 	"nucasim/internal/workload"
 )
 
-// JobRequest is the wire shape of POST /v1/jobs: the semantic subset of
-// sim.Config plus the application mix by suite name. Zero fields take
-// the simulator's Table 1 defaults, exactly as the CLI flags do.
-type JobRequest struct {
-	Scheme             string   `json:"scheme"` // default "adaptive"
-	Apps               []string `json:"apps"`   // one per core, ≥2
-	Seed               uint64   `json:"seed"`
-	WarmupInstructions uint64   `json:"warmup_instructions"`
-	WarmupCycles       uint64   `json:"warmup_cycles"`
-	MeasureCycles      uint64   `json:"measure_cycles"`
-	L3BytesPerCore     int      `json:"l3_bytes_per_core"`
-	Scaled             bool     `json:"scaled"`
-	ShadowSampleShift  uint     `json:"shadow_sample_shift"`
-	RepartitionPeriod  int      `json:"repartition_period"`
-	DisableProtection  bool     `json:"disable_protection"`
-	DisableAdaptation  bool     `json:"disable_adaptation"`
-}
-
-// Build resolves the request into a validated simulator configuration
-// and application mix. Errors are user errors (HTTP 400 material).
-func (req JobRequest) Build() (sim.Config, []workload.AppParams, error) {
-	scheme := req.Scheme
-	if scheme == "" {
-		scheme = string(sim.SchemeAdaptive)
-	}
-	if len(req.Apps) < 2 {
-		return sim.Config{}, nil, fmt.Errorf("need at least 2 apps (one per core), got %d", len(req.Apps))
-	}
-	mix := make([]workload.AppParams, 0, len(req.Apps))
-	for _, name := range req.Apps {
-		p, ok := workload.ByName(name)
-		if !ok {
-			return sim.Config{}, nil, fmt.Errorf("unknown application %q", name)
-		}
-		mix = append(mix, p)
-	}
-	cfg := sim.Config{
-		Cores:              len(mix),
-		Scheme:             sim.Scheme(scheme),
-		Seed:               req.Seed,
-		WarmupInstructions: req.WarmupInstructions,
-		WarmupCycles:       req.WarmupCycles,
-		MeasureCycles:      req.MeasureCycles,
-		L3BytesPerCore:     req.L3BytesPerCore,
-		Scaled:             req.Scaled,
-		ShadowSampleShift:  req.ShadowSampleShift,
-		RepartitionPeriod:  req.RepartitionPeriod,
-		DisableProtection:  req.DisableProtection,
-		DisableAdaptation:  req.DisableAdaptation,
-	}
-	if err := cfg.Validate(); err != nil {
-		return sim.Config{}, nil, err
-	}
-	return cfg, mix, nil
-}
+// JobRequest is the wire shape of POST /v1/jobs; Build resolves it into
+// a validated simulator configuration and application mix.
+type JobRequest = sweep.Base
 
 // JobState is the lifecycle of one submitted job.
 type JobState string

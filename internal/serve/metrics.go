@@ -31,7 +31,7 @@ func (m *serverMetrics) init() {
 	m.reg.Counter("serve.jobs_failed")
 	m.reg.Counter("serve.panics_recovered")
 	m.reg.Counter("serve.cache_quarantined")
-	// The sweep family sweep-smoke scrapes: asserting "warmup ran exactly
+	// The sweep family e2e-smoke scrapes: asserting "warmup ran exactly
 	// once" needs the zero to exist before the first sweep does.
 	m.reg.Counter("serve.sweeps_submitted")
 	m.reg.Counter("serve.sweeps_completed")
@@ -118,7 +118,7 @@ func (s *Server) writeMetrics(w io.Writer) error {
 	// serve.jobs_state_<state>, not serve.jobs_<state>: the lifecycle
 	// counters (serve.jobs_failed, serve.jobs_canceled, ...) own that
 	// namespace, and a gauge and counter sharing one family name is an
-	// exposition-format violation the serve-smoke lint rejects.
+	// exposition-format violation the e2e-smoke lint rejects.
 	for _, st := range []JobState{StateQueued, StateRunning, StateDone,
 		StateFailed, StateCanceled, StateCheckpointed, StateInterrupted} {
 		m.Gauges["serve.jobs_state_"+string(st)] = float64(perState[st])

@@ -34,27 +34,33 @@ func ckConfig() Config {
 // run interrupted mid-measurement and resumed from its checkpoint must
 // produce the same partition limits, counters, per-core statistics and
 // byte-identical epoch CSV as the same-seed run that was never
-// interrupted. The inputs include a 4-core memory-bound mix and an
+// interrupted. The inputs include a 4-core memory-bound mix, an
 // interrupt that is not on a measurement-chunk boundary, where cores are
-// captured between their event-driven steps.
+// captured between their event-driven steps, and a longer 4-app run at
+// the default repartition period.
 func TestCheckpointResumeBitIdentical(t *testing.T) {
+	long := ckConfig()
+	long.Seed = 1
+	long.WarmupInstructions, long.WarmupCycles, long.MeasureCycles = 300_000, 0, 150_000
+	long.RepartitionPeriod = 0
 	for _, tc := range []struct {
 		name      string
+		cfg       Config
 		apps      []string
 		stopAfter uint64
 	}{
-		{"2core", []string{"ammp", "gzip"}, 25_000},
-		{"2core-unaligned", []string{"ammp", "gzip"}, 25_001},
-		{"4core-membound-unaligned", []string{"ammp", "art", "mcf", "swim"}, 25_001},
+		{"2core", ckConfig(), []string{"ammp", "gzip"}, 25_000},
+		{"2core-unaligned", ckConfig(), []string{"ammp", "gzip"}, 25_001},
+		{"4core-membound-unaligned", ckConfig(), []string{"ammp", "art", "mcf", "swim"}, 25_001},
+		{"4core-default-period", long, []string{"ammp", "swim", "lucas", "gzip"}, 60_000},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			checkResumeBitIdentical(t, mixOf(t, tc.apps...), tc.stopAfter)
+			checkResumeBitIdentical(t, tc.cfg, mixOf(t, tc.apps...), tc.stopAfter)
 		})
 	}
 }
 
-func checkResumeBitIdentical(t *testing.T, mix []workload.AppParams, stopAfter uint64) {
-	base := ckConfig()
+func checkResumeBitIdentical(t *testing.T, base Config, mix []workload.AppParams, stopAfter uint64) {
 	base.Cores = len(mix)
 	ref, err := RunContext(context.Background(), base, mix)
 	if err != nil {

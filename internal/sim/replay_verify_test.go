@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"nucasim/internal/replay"
@@ -9,13 +10,21 @@ import (
 )
 
 // TestReplaySelfVerify is the acceptance check for the replay subsystem:
-// on a pinned-seed mixed-app adaptive run, reconstructing per-set LLC
+// on pinned-seed mixed-app adaptive runs, reconstructing per-set LLC
 // state from the full event trace must match the live cache — every
 // private stack, the shared stack's tags and owners, and the limits —
 // at every repartition epoch.
 func TestReplaySelfVerify(t *testing.T) {
+	for _, seed := range []uint64{3, 1} {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			checkReplaySelfVerify(t, seed)
+		})
+	}
+}
+
+func checkReplaySelfVerify(t *testing.T, seed uint64) {
 	r := Run(Config{
-		Scheme: SchemeAdaptive, Seed: 3,
+		Scheme: SchemeAdaptive, Seed: seed,
 		WarmupInstructions: 300_000, MeasureCycles: 150_000,
 		ReplayVerify: true,
 	}, telemetryMix(t))

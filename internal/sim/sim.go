@@ -246,10 +246,6 @@ func (m *Machine) startSpan(name string) telemetry.Span {
 	return m.Telemetry.StartSpan(name, m.spanRoot.ID())
 }
 
-// RootSpanID exposes the run root span's ID so external observers
-// (artifact writers) can nest under it. Zero when spans are disabled.
-func (m *Machine) RootSpanID() telemetry.SpanID { return m.spanRoot.ID() }
-
 // NewMachine assembles a CMP running the given application mix (one entry
 // per core; len(mix) must equal Cores).
 func NewMachine(cfg Config, mix []workload.AppParams) *Machine {

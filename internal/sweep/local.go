@@ -25,7 +25,7 @@ type LocalOptions struct {
 
 // LocalStats reports how a local sweep executed: how many warmups
 // actually ran versus how many points forked one, the observable
-// guarantee behind `make sweep-smoke` and BENCH_sweep.json.
+// guarantee behind `make e2e-smoke` and BENCH_sweep.json.
 type LocalStats struct {
 	WarmupsRun int // warmup phases executed (one per group)
 	Forked     int // points resumed from a shared warmup checkpoint

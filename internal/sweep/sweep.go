@@ -27,10 +27,11 @@ import (
 // the caller does not set its own limit (nucaserve's -max-sweep-points).
 const DefaultMaxPoints = 1024
 
-// Base is the sweep's anchor configuration: the semantic subset of
-// sim.Config plus the application mix by name, field-for-field the
-// wire shape of a single POST /v1/jobs submission. Zero fields take the
-// simulator's Table 1 defaults. Every axis overrides one Base field.
+// Base is one simulation request: the semantic subset of sim.Config
+// plus the application mix by name. It is both the sweep's anchor
+// configuration, where every axis overrides one field, and the wire
+// shape of a single POST /v1/jobs submission (serve.JobRequest). Zero
+// fields take the simulator's Table 1 defaults.
 type Base struct {
 	Scheme             string   `json:"scheme,omitempty"` // default "adaptive"
 	Apps               []string `json:"apps,omitempty"`   // one per core, ≥2
@@ -44,6 +45,44 @@ type Base struct {
 	RepartitionPeriod  int      `json:"repartition_period,omitempty"`
 	DisableProtection  bool     `json:"disable_protection,omitempty"`
 	DisableAdaptation  bool     `json:"disable_adaptation,omitempty"`
+}
+
+// Build resolves the request into a validated simulator configuration
+// and application mix. Errors are user errors (HTTP 400 material).
+func (b Base) Build() (sim.Config, []workload.AppParams, error) {
+	scheme := b.Scheme
+	if scheme == "" {
+		scheme = string(sim.SchemeAdaptive)
+	}
+	if len(b.Apps) < 2 {
+		return sim.Config{}, nil, fmt.Errorf("need at least 2 apps (one per core), got %d", len(b.Apps))
+	}
+	mix := make([]workload.AppParams, 0, len(b.Apps))
+	for _, name := range b.Apps {
+		p, ok := workload.ByName(name)
+		if !ok {
+			return sim.Config{}, nil, fmt.Errorf("unknown application %q", name)
+		}
+		mix = append(mix, p)
+	}
+	cfg := sim.Config{
+		Cores:              len(mix),
+		Scheme:             sim.Scheme(scheme),
+		Seed:               b.Seed,
+		WarmupInstructions: b.WarmupInstructions,
+		WarmupCycles:       b.WarmupCycles,
+		MeasureCycles:      b.MeasureCycles,
+		L3BytesPerCore:     b.L3BytesPerCore,
+		Scaled:             b.Scaled,
+		ShadowSampleShift:  b.ShadowSampleShift,
+		RepartitionPeriod:  b.RepartitionPeriod,
+		DisableProtection:  b.DisableProtection,
+		DisableAdaptation:  b.DisableAdaptation,
+	}
+	if err := cfg.Validate(); err != nil {
+		return sim.Config{}, nil, err
+	}
+	return cfg, mix, nil
 }
 
 // Axes are the swept dimensions. A nil axis means "use the Base value";
@@ -189,36 +228,6 @@ func Expand(spec Spec, maxPoints int) ([]Point, error) {
 				for _, capacity := range caps.values {
 					for _, period := range periods.values {
 						for _, window := range windows.values {
-							apps := mix
-							if len(apps) < 2 {
-								return nil, specErrorf("sweep: need at least 2 apps per point (one per core), got %d", len(apps))
-							}
-							params := make([]workload.AppParams, 0, len(apps))
-							for _, name := range apps {
-								p, ok := workload.ByName(name)
-								if !ok {
-									return nil, specErrorf("sweep: unknown application %q", name)
-								}
-								params = append(params, p)
-							}
-							sch := scheme
-							if sch == "" {
-								sch = string(sim.SchemeAdaptive)
-							}
-							cfg := sim.Config{
-								Cores:              len(params),
-								Scheme:             sim.Scheme(sch),
-								Seed:               seed,
-								WarmupInstructions: spec.Base.WarmupInstructions,
-								WarmupCycles:       spec.Base.WarmupCycles,
-								MeasureCycles:      window,
-								L3BytesPerCore:     capacity,
-								Scaled:             spec.Base.Scaled,
-								ShadowSampleShift:  spec.Base.ShadowSampleShift,
-								RepartitionPeriod:  period,
-								DisableProtection:  spec.Base.DisableProtection,
-								DisableAdaptation:  spec.Base.DisableAdaptation,
-							}
 							var labelParts []string
 							add := func(on bool, s string) {
 								if on {
@@ -236,6 +245,13 @@ func Expand(spec Spec, maxPoints int) ([]Point, error) {
 								label = "base"
 							}
 
+							req := spec.Base
+							req.Apps, req.Scheme, req.Seed = mix, scheme, seed
+							req.L3BytesPerCore, req.RepartitionPeriod, req.MeasureCycles = capacity, period, window
+							cfg, params, err := req.Build()
+							if err != nil {
+								return nil, specErrorf("sweep: point %q: %v", label, err)
+							}
 							specHash, err := sim.SpecHash(cfg, params)
 							if err != nil {
 								return nil, specErrorf("sweep: point %q: %v", label, err)
@@ -252,7 +268,7 @@ func Expand(spec Spec, maxPoints int) ([]Point, error) {
 								Index:      len(points),
 								Cfg:        cfg,
 								Mix:        params,
-								Apps:       append([]string(nil), apps...),
+								Apps:       append([]string(nil), mix...),
 								Label:      label,
 								SpecHash:   specHash,
 								WarmupHash: warmHash,

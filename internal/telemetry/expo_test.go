@@ -36,7 +36,7 @@ func TestWriteMetricsUnified(t *testing.T) {
 	out := buf.String()
 
 	for _, want := range []string{
-		"serve_cache_hits 1\n", // the exact form servesmoke greps for
+		"serve_cache_hits 1\n", // the exact sample e2e-smoke requires
 		"# TYPE serve_cache_hits counter",
 		"# HELP serve_cache_hits",
 		"# TYPE partition_shared gauge",
