@@ -1,10 +1,11 @@
 // Command golden generates the pinned-seed regression baseline under
 // testdata/golden/: the adaptive scheme's epoch time-series CSV, a JSON
 // summary of the run's deterministic outcomes (final partition limits,
-// evaluation/transfer counts, LLC totals), and under results/ the
-// encoded Result (serve.EncodeResult: per-core IPC and CoreStats, LLC
-// and DRAM totals) of every organization on an LLC-intensive and a
-// non-intensive mix. The simulator is
+// evaluation/transfer counts, LLC totals), under results/ the encoded
+// Result (serve.EncodeResult: per-core IPC and CoreStats, LLC and DRAM
+// totals) of every organization on an LLC-intensive and a
+// non-intensive mix, and in figures.jsonl every simulated paper figure
+// table at CI scale. The simulator is
 // fully deterministic for a fixed seed and mix — TestTraceDeterministic
 // pins that property — so any diff against these files is a behaviour
 // change that must be either fixed or deliberately re-baselined with
@@ -25,9 +26,11 @@ import (
 	"strings"
 
 	"nucasim/internal/atomicio"
+	"nucasim/internal/experiment"
 	"nucasim/internal/llc"
 	"nucasim/internal/serve"
 	"nucasim/internal/sim"
+	"nucasim/internal/stats"
 	"nucasim/internal/telemetry"
 	"nucasim/internal/workload"
 )
@@ -63,7 +66,7 @@ type summary struct {
 }
 
 func main() {
-	out := flag.String("out", "testdata/golden", "directory to write epoch.csv, limits.json and results/ into")
+	out := flag.String("out", "testdata/golden", "directory to write epoch.csv, limits.json, results/ and figures.jsonl into")
 	flag.Parse()
 
 	mix := mixOf(goldenApps)
@@ -117,6 +120,7 @@ func main() {
 		csvPath, len(r.Epochs), jsonPath, s.PartitionLimits, s.Transfers, s.Evaluations)
 
 	writeResults(filepath.Join(*out, "results"))
+	writeFigures(filepath.Join(*out, "figures.jsonl"))
 }
 
 // writeResults pins the encoded Result of every organization on the
@@ -148,6 +152,51 @@ func writeResults(dir string) {
 			fmt.Printf("golden: wrote %s (IPC %v)\n", path, r.PerCoreIPC)
 		}
 	}
+}
+
+// writeFigures pins every simulated figure table (Figs. 5-12, §4.6
+// sampling, the §4.3 anecdote, §6 scaling, parallel workloads) at CI
+// scale, one JSON table per line exactly as `experiments -json` prints
+// it, so a change to how the figures are run or reduced shows as a diff
+// even when every single-run counter stays put. Figure 3 is analytic
+// (no simulation) and stays out.
+func writeFigures(path string) {
+	opt := experiment.Options{
+		Seed:               42,
+		Mixes:              2,
+		WarmupInstructions: 60_000,
+		WarmupCycles:       10_000,
+		MeasureCycles:      40_000,
+	}
+	tables := []*stats.Table{
+		experiment.Fig5(opt),
+		experiment.Fig6(opt).Table,
+		experiment.Fig7(opt),
+		experiment.Fig8(opt),
+		experiment.Fig9(opt),
+		experiment.Fig10(opt).Table,
+		experiment.Fig11(opt),
+		experiment.Fig12(opt),
+		experiment.ShadowSampling(opt).Table,
+		experiment.Anecdote(opt).Table,
+		experiment.CoreScaling(opt).Table,
+		experiment.ParallelWorkloads(opt).Table,
+	}
+	if err := atomicio.WriteFile(path, func(w io.Writer) error {
+		for _, t := range tables {
+			b, err := json.Marshal(t)
+			if err != nil {
+				return err
+			}
+			if _, err := w.Write(append(b, '\n')); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		fatal("write %s: %v", path, err)
+	}
+	fmt.Printf("golden: wrote %s (%d figure tables)\n", path, len(tables))
 }
 
 func mixOf(apps string) []workload.AppParams {
