@@ -10,8 +10,8 @@
 //	-metrics-out f.csv append every table as CSV (titles on "# " comment lines)
 //	-trace-out f.jsonl stream all adaptive runs' sharing-engine events (JSONL)
 //	-span-out f.json   write a Perfetto-loadable trace of wall-clock spans,
-//	                   one "experiment.<name>" span per subcommand with the
-//	                   adaptive runs' simulation phases nested beneath
+//	                   one "experiment.<name>" span per subcommand with a
+//	                   "sweep.point" span per simulation nested beneath
 //	-cpuprofile f      write a pprof CPU profile of the whole invocation
 //	-memprofile f      write a pprof heap profile at exit
 //
@@ -83,7 +83,7 @@ func main() {
 	flag.Uint64Var(&opt.WarmupInstructions, "warmup-instrs", 0, "functional warmup instructions per core (default 1e6)")
 	flag.Uint64Var(&opt.WarmupCycles, "warmup-cycles", 0, "timed warmup cycles (default 1e5)")
 	flag.Uint64Var(&opt.MeasureCycles, "cycles", 0, "measured cycles (default 6e5; paper: 2e8)")
-	flag.BoolVar(&opt.CheckInvariants, "check-invariants", false, "verify adaptive-scheme structural invariants at every repartition epoch (aborts on violation)")
+	flag.BoolVar(&opt.Local.CheckInvariants, "check-invariants", false, "verify adaptive-scheme structural invariants at every repartition epoch (aborts on violation)")
 	common := cliflags.Register(flag.CommandLine, cliflags.Spec{
 		Command:      "experiments",
 		JSONUsage:    "emit tables as JSON Lines instead of text",
@@ -109,9 +109,6 @@ func main() {
 	if session.Metrics != nil {
 		out.metrics = session.Metrics
 	}
-	if session.Trace != nil {
-		opt.TraceWriter = session.Trace
-	}
 
 	for _, w := range which {
 		if w == "all" {
@@ -128,17 +125,14 @@ func main() {
 	}
 }
 
-// timed runs one experiment under an "experiment.<name>" span (the
-// adaptive runs' simulation phases nest beneath it) and a pprof phase
+// timed runs one experiment under an "experiment.<name>" span (one
+// "sweep.point" span per simulation nests beneath it) and a pprof phase
 // label, and reports its wall-clock and simulated throughput on stderr.
 func timed(which string, opt experiment.Options, out *output, session *cliflags.Session) {
 	start := time.Now()
 	cyclesBefore := sim.CyclesSimulated()
 	sp := session.StartSpan("experiment." + which)
-	if session.Spans != nil {
-		opt.Spans = session.Spans
-		opt.SpanParent = sp.ID()
-	}
+	opt.Local = session.Local(sp.ID(), opt.Local.CheckInvariants)
 	telemetry.WithPhase(context.Background(), which, func(context.Context) {
 		run(which, opt, out)
 	})

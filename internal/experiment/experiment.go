@@ -8,18 +8,23 @@
 // four random applications per experiment and fast-forwarding each by a
 // random amount (§3). Options.Seed pins the whole procedure, so every
 // figure is exactly reproducible.
+//
+// Every simulated figure is a point list plus a reducer: its trials (a
+// mix and its seed) are crossed with its variants (the sim.Config fields
+// the figure changes) and run by one sweep.RunLocal call, the engine
+// cmd/sweep also uses. Figure 3 is analytic and simulates nothing.
 package experiment
 
 import (
+	"context"
 	"fmt"
-	"io"
 
 	"nucasim/internal/cache"
 	"nucasim/internal/memaddr"
 	"nucasim/internal/rng"
 	"nucasim/internal/sim"
 	"nucasim/internal/stats"
-	"nucasim/internal/telemetry"
+	"nucasim/internal/sweep"
 	"nucasim/internal/workload"
 )
 
@@ -34,27 +39,15 @@ type Options struct {
 	WarmupCycles       uint64 // default 100_000
 	MeasureCycles      uint64 // default 600_000
 
-	// Cores overrides the CMP width (default 4, the paper's machine).
-	Cores int
-
-	// TraceWriter, if set, streams every adaptive run's sharing-engine
-	// events to one JSONL sink; each run is labelled "adaptive-seed<N>"
-	// so decisions from different mixes stay distinguishable
-	// (cmd/experiments -trace-out).
-	TraceWriter io.Writer
-
-	// Spans, together with SpanParent, threads the CLI's wall-clock span
-	// recorder into every adaptive run's telemetry so simulation phases
-	// nest under the experiment's own span (cmd/experiments -span-out).
-	Spans      *telemetry.SpanRecorder
-	SpanParent telemetry.SpanID
-
-	// CheckInvariants arms the structural invariant checker on every
-	// adaptive run (sim.Config.CheckInvariants): partition state is
-	// verified at each repartitioning evaluation and a violation aborts
-	// the figure with a panic naming the broken invariant.
-	CheckInvariants bool
+	// Local is handed to sweep.RunLocal for every simulated figure: the
+	// invariant checker and the per-point observability (trace and span
+	// wiring) of cmd/experiments -check-invariants, -trace-out and
+	// -span-out. Points are labelled "<scheme>-seed<N>".
+	Local sweep.LocalOptions
 }
+
+// cores is the paper's CMP width; only CoreScaling leaves it.
+const cores = 4
 
 func (o Options) withDefaults() Options {
 	if o.Mixes == 0 {
@@ -69,41 +62,68 @@ func (o Options) withDefaults() Options {
 	if o.MeasureCycles == 0 {
 		o.MeasureCycles = 600_000
 	}
-	if o.Cores == 0 {
-		o.Cores = 4
-	}
 	return o
 }
 
-func (o Options) simConfig(scheme sim.Scheme, seed uint64) sim.Config {
-	cfg := sim.Config{
-		Cores:              o.Cores,
-		Scheme:             scheme,
-		Seed:               seed,
-		WarmupInstructions: o.WarmupInstructions,
-		WarmupCycles:       o.WarmupCycles,
-		MeasureCycles:      o.MeasureCycles,
-		CheckInvariants:    o.CheckInvariants,
-	}
-	if (o.TraceWriter != nil || o.Spans != nil) && scheme == sim.SchemeAdaptive {
-		cfg.Telemetry = &telemetry.Config{
-			Run:         fmt.Sprintf("%s-seed%d", scheme, seed),
-			TraceWriter: o.TraceWriter,
-			Spans:       o.Spans,
-			SpanParent:  o.SpanParent,
-		}
-	}
-	return cfg
+// trial is one experiment: a mix and the seed it runs under.
+type trial struct {
+	mix  []workload.AppParams
+	seed uint64
 }
 
-// drawMixes reproduces the paper's experiment construction: n draws of
-// four random applications (with replacement) from the pool.
-func drawMixes(r *rng.Rand, pool []workload.AppParams, n, cores int) [][]workload.AppParams {
-	mixes := make([][]workload.AppParams, n)
-	for i := range mixes {
-		mixes[i] = workload.RandomMix(r, pool, cores)
+// draws reproduces the paper's experiment construction: Mixes draws of n
+// random applications (with replacement) from the pool, draw i seeded
+// at Seed+101·i.
+func (o Options) draws(pool []workload.AppParams, n int) []trial {
+	r := rng.New(o.Seed)
+	ts := make([]trial, o.Mixes)
+	for i := range ts {
+		ts[i] = trial{workload.RandomMix(r, pool, n), o.Seed + uint64(i)*101}
 	}
-	return mixes
+	return ts
+}
+
+// schemes returns one variant per scheme, each otherwise equal to base.
+func schemes(base sim.Config, ss ...sim.Scheme) []sim.Config {
+	vs := make([]sim.Config, len(ss))
+	for i, s := range ss {
+		vs[i] = base
+		vs[i].Scheme = s
+	}
+	return vs
+}
+
+// run crosses every trial with every variant (a sim.Config holding only
+// the fields a figure changes) into one point list, runs it through
+// sweep.RunLocal and returns the results as [trial][variant]. A failed
+// point — an invariant violation under Local.CheckInvariants — panics,
+// as sim.Run does.
+func (o Options) run(trials []trial, variants []sim.Config) [][]sim.Result {
+	points := make([]sweep.Point, 0, len(trials)*len(variants))
+	for _, t := range trials {
+		for _, v := range variants {
+			cfg := v
+			cfg.Cores = len(t.mix)
+			cfg.Seed = t.seed
+			cfg.WarmupInstructions = o.WarmupInstructions
+			cfg.WarmupCycles = o.WarmupCycles
+			cfg.MeasureCycles = o.MeasureCycles
+			p, err := sweep.NewPoint(fmt.Sprintf("%s-seed%d", cfg.Scheme, t.seed), cfg, t.mix)
+			if err != nil {
+				panic(err)
+			}
+			points = append(points, p)
+		}
+	}
+	results, _, err := sweep.RunLocal(context.Background(), points, o.Local)
+	if err != nil {
+		panic(err)
+	}
+	byTrial := make([][]sim.Result, len(trials))
+	for i := range byTrial {
+		byTrial[i] = results[i*len(variants) : (i+1)*len(variants)]
+	}
+	return byTrial
 }
 
 // Fig3 reproduces Figure 3: the number of L3 misses as a function of
@@ -177,16 +197,20 @@ func MissRatioAtWays(p workload.AppParams, ways int, seed uint64) float64 {
 // classified last-level cache intensive.
 func Fig5(opt Options) *stats.Table {
 	opt = opt.withDefaults()
+	suite := workload.Suite()
+	trials := make([]trial, len(suite))
+	for i, p := range suite {
+		mix := []workload.AppParams{p}
+		for len(mix) < cores {
+			mix = append(mix, workload.Idle())
+		}
+		trials[i] = trial{mix, opt.Seed}
+	}
+	results := opt.run(trials, schemes(sim.Config{}, sim.SchemePrivate))
 	t := stats.NewTable(fmt.Sprintf("Figure 5: L3 accesses per 1000 cycles (intensive if > %.0f)", IntensiveThreshold),
 		"acc/kcycle", "intensive")
-	for _, p := range workload.Suite() {
-		mix := make([]workload.AppParams, opt.Cores)
-		mix[0] = p
-		for i := 1; i < opt.Cores; i++ {
-			mix[i] = workload.Idle()
-		}
-		r := sim.Run(opt.simConfig(sim.SchemePrivate, opt.Seed), mix)
-		acc := r.LLCAccessesPerKCycle[0]
+	for i, p := range suite {
+		acc := results[i][0].LLCAccessesPerKCycle[0]
 		intensive := 0.0
 		if acc > IntensiveThreshold {
 			intensive = 1
@@ -221,19 +245,16 @@ type Fig6Result struct {
 // scheme's speedup over private.
 func Fig6(opt Options) Fig6Result {
 	opt = opt.withDefaults()
-	r := rng.New(opt.Seed)
-	mixes := drawMixes(r, workload.Intensive(), opt.Mixes, opt.Cores)
+	trials := opt.draws(workload.Intensive(), cores)
+	results := opt.run(trials, schemes(sim.Config{}, sim.SchemePrivate, sim.SchemeShared, sim.SchemeAdaptive))
 	t := stats.NewTable("Figure 6: harmonic mean IPC per experiment (intensive apps)",
 		"private", "shared", "adaptive", "adaptive/private")
 
 	var privHM, sharedHM, adaptHM stats.Accumulator
 	var privMean, sharedMean, adaptMean stats.Accumulator
-	for i, mix := range mixes {
-		seed := opt.Seed + uint64(i)*101
-		rp := sim.Run(opt.simConfig(sim.SchemePrivate, seed), mix)
-		rs := sim.Run(opt.simConfig(sim.SchemeShared, seed), mix)
-		ra := sim.Run(opt.simConfig(sim.SchemeAdaptive, seed), mix)
-		t.AddRow(workload.MixNames(mix),
+	for i, tr := range trials {
+		rp, rs, ra := results[i][0], results[i][1], results[i][2]
+		t.AddRow(workload.MixNames(tr.mix),
 			rp.HarmonicIPC, rs.HarmonicIPC, ra.HarmonicIPC,
 			stats.Speedup(ra.HarmonicIPC, rp.HarmonicIPC))
 		privHM.Add(rp.HarmonicIPC)
@@ -253,63 +274,49 @@ func Fig6(opt Options) Fig6Result {
 	}
 }
 
-// perAppSpeedups runs mixes under the given schemes and accumulates
-// per-application IPC speedups relative to the first scheme in the list.
-func perAppSpeedups(opt Options, pool []workload.AppParams, schemes []sim.Scheme, l3BytesPerCore int, scaled bool) map[string]map[sim.Scheme]*stats.Accumulator {
-	r := rng.New(opt.Seed)
-	mixes := drawMixes(r, pool, opt.Mixes, opt.Cores)
-	acc := map[string]map[sim.Scheme]*stats.Accumulator{}
-	for i, mix := range mixes {
-		seed := opt.Seed + uint64(i)*101
-		results := map[sim.Scheme]sim.Result{}
-		for _, s := range schemes {
-			cfg := opt.simConfig(s, seed)
-			cfg.L3BytesPerCore = l3BytesPerCore
-			cfg.Scaled = scaled
-			results[s] = sim.Run(cfg, mix)
-		}
-		base := results[schemes[0]]
-		for core, app := range mix {
-			if acc[app.Name] == nil {
-				acc[app.Name] = map[sim.Scheme]*stats.Accumulator{}
-			}
-			for _, s := range schemes[1:] {
-				if acc[app.Name][s] == nil {
-					acc[app.Name][s] = &stats.Accumulator{}
-				}
-				acc[app.Name][s].Add(stats.Speedup(results[s].PerCoreIPC[core], base.PerCoreIPC[core]))
-			}
-		}
-	}
-	return acc
-}
+// speedupFigure runs the Figures 7-9 experiment: mixes drawn from pool
+// under private, shared, adaptive and 4×-sized private caches with the
+// given L3 bytes per core (0 = Table 1), reduced to each application's
+// mean per-core IPC speedup over private, in pool order. Applications
+// never drawn into a mix get no row.
+func speedupFigure(opt Options, title string, pool []workload.AppParams, l3BytesPerCore int) *stats.Table {
+	opt = opt.withDefaults()
+	trials := opt.draws(pool, cores)
+	variants := schemes(sim.Config{L3BytesPerCore: l3BytesPerCore},
+		sim.SchemePrivate, sim.SchemeShared, sim.SchemeAdaptive, sim.SchemePrivate4x)
+	results := opt.run(trials, variants)
 
-// speedupTable renders a per-app speedup accumulator map.
-func speedupTable(title string, apps []workload.AppParams, acc map[string]map[sim.Scheme]*stats.Accumulator, schemes []sim.Scheme) *stats.Table {
-	cols := make([]string, 0, len(schemes))
-	for _, s := range schemes {
-		cols = append(cols, string(s))
-	}
-	cols = append(cols, "samples")
-	t := stats.NewTable(title, cols...)
-	for _, p := range apps {
-		perScheme, ok := acc[p.Name]
-		if !ok {
-			continue // app never drawn into a mix
-		}
-		row := make([]float64, 0, len(schemes)+1)
-		n := 0
-		for _, s := range schemes {
-			a := perScheme[s]
+	// Per application, one accumulator per non-private variant.
+	acc := map[string][]stats.Accumulator{}
+	for i, tr := range trials {
+		for core, app := range tr.mix {
+			a := acc[app.Name]
 			if a == nil {
-				row = append(row, 0)
-				continue
+				a = make([]stats.Accumulator, len(variants)-1)
+				acc[app.Name] = a
 			}
-			row = append(row, a.Mean())
-			n = a.N()
+			base := results[i][0].PerCoreIPC[core]
+			for v := range a {
+				a[v].Add(stats.Speedup(results[i][v+1].PerCoreIPC[core], base))
+			}
 		}
-		row = append(row, float64(n))
-		t.AddRow(p.Name, row...)
+	}
+
+	cols := make([]string, 0, len(variants))
+	for _, v := range variants[1:] {
+		cols = append(cols, string(v.Scheme))
+	}
+	t := stats.NewTable(title, append(cols, "samples")...)
+	for _, p := range pool {
+		a, ok := acc[p.Name]
+		if !ok {
+			continue
+		}
+		row := make([]float64, 0, len(a)+1)
+		for v := range a {
+			row = append(row, a[v].Mean())
+		}
+		t.AddRow(p.Name, append(row, float64(a[0].N()))...)
 	}
 	return t
 }
@@ -318,32 +325,23 @@ func speedupTable(title string, apps []workload.AppParams, acc map[string]map[si
 // for shared, adaptive and 4×-sized private caches, for the LLC-intensive
 // applications (mixes drawn from the intensive pool).
 func Fig7(opt Options) *stats.Table {
-	opt = opt.withDefaults()
-	schemes := []sim.Scheme{sim.SchemePrivate, sim.SchemeShared, sim.SchemeAdaptive, sim.SchemePrivate4x}
-	acc := perAppSpeedups(opt, workload.Intensive(), schemes, 0, false)
-	return speedupTable("Figure 7: speedup vs private (LLC-intensive apps)",
-		workload.Intensive(), acc, schemes[1:])
+	return speedupFigure(opt, "Figure 7: speedup vs private (LLC-intensive apps)",
+		workload.Intensive(), 0)
 }
 
 // Fig8 reproduces Figure 8: per-application speedups over private caches
 // with mixes drawn from the full suite (both categories).
 func Fig8(opt Options) *stats.Table {
-	opt = opt.withDefaults()
-	schemes := []sim.Scheme{sim.SchemePrivate, sim.SchemeShared, sim.SchemeAdaptive, sim.SchemePrivate4x}
-	acc := perAppSpeedups(opt, workload.Suite(), schemes, 0, false)
-	return speedupTable("Figure 8: speedup vs private (all apps)",
-		workload.Suite(), acc, schemes[1:])
+	return speedupFigure(opt, "Figure 8: speedup vs private (all apps)",
+		workload.Suite(), 0)
 }
 
 // Fig9 reproduces Figure 9: the Figure 7 experiment with a doubled
 // last-level cache (8 MB aggregate — 2 MB private partitions), where the
 // adaptive scheme's constraints can hurt because capacity is ample.
 func Fig9(opt Options) *stats.Table {
-	opt = opt.withDefaults()
-	schemes := []sim.Scheme{sim.SchemePrivate, sim.SchemeShared, sim.SchemeAdaptive, sim.SchemePrivate4x}
-	acc := perAppSpeedups(opt, workload.Intensive(), schemes, 2<<20, false)
-	return speedupTable("Figure 9: speedup vs private with 8 MB L3 (2 MB per core)",
-		workload.Intensive(), acc, schemes[1:])
+	return speedupFigure(opt, "Figure 9: speedup vs private with 8 MB L3 (2 MB per core)",
+		workload.Intensive(), 2<<20)
 }
 
 // Fig10Result carries the Figure 10 table and the per-scheme average
@@ -361,25 +359,16 @@ type Fig10Result struct {
 // average gain because it removes the most (now slower) memory accesses.
 func Fig10(opt Options) Fig10Result {
 	opt = opt.withDefaults()
-	r := rng.New(opt.Seed)
-	mixes := drawMixes(r, workload.Intensive(), opt.Mixes, opt.Cores)
+	trials := opt.draws(workload.Intensive(), cores)
+	results := opt.run(trials, schemes(sim.Config{Scaled: true}, sim.SchemePrivate, sim.SchemeShared, sim.SchemeAdaptive))
 	t := stats.NewTable("Figure 10: technology scaling — harmonic IPC speedup vs private (scaled latencies)",
 		"shared", "adaptive")
 	var sAcc, aAcc stats.Accumulator
-	for i, mix := range mixes {
-		seed := opt.Seed + uint64(i)*101
-		cfgP := opt.simConfig(sim.SchemePrivate, seed)
-		cfgP.Scaled = true
-		cfgS := opt.simConfig(sim.SchemeShared, seed)
-		cfgS.Scaled = true
-		cfgA := opt.simConfig(sim.SchemeAdaptive, seed)
-		cfgA.Scaled = true
-		rp := sim.Run(cfgP, mix)
-		rs := sim.Run(cfgS, mix)
-		ra := sim.Run(cfgA, mix)
+	for i, tr := range trials {
+		rp, rs, ra := results[i][0], results[i][1], results[i][2]
 		s := stats.Speedup(rs.HarmonicIPC, rp.HarmonicIPC)
 		a := stats.Speedup(ra.HarmonicIPC, rp.HarmonicIPC)
-		t.AddRow(workload.MixNames(mix), s, a)
+		t.AddRow(workload.MixNames(tr.mix), s, a)
 		sAcc.Add(s)
 		aAcc.Add(a)
 	}
@@ -391,8 +380,7 @@ func Fig10(opt Options) Fig10Result {
 // over the Chang & Sohi-style "random replacement" baseline on
 // LLC-intensive mixes, where controlled sharing should win clearly.
 func Fig11(opt Options) *stats.Table {
-	return adaptiveVsCoop(opt.withDefaults(),
-		"Figure 11: adaptive vs random replacement (intensive apps)",
+	return adaptiveVsCoop(opt, "Figure 11: adaptive vs random replacement (intensive apps)",
 		workload.Intensive())
 }
 
@@ -400,22 +388,20 @@ func Fig11(opt Options) *stats.Table {
 // both categories, where many apps ignore the L3 and the two schemes come
 // out close.
 func Fig12(opt Options) *stats.Table {
-	return adaptiveVsCoop(opt.withDefaults(),
-		"Figure 12: adaptive vs random replacement (all apps)",
+	return adaptiveVsCoop(opt, "Figure 12: adaptive vs random replacement (all apps)",
 		workload.Suite())
 }
 
 func adaptiveVsCoop(opt Options, title string, pool []workload.AppParams) *stats.Table {
-	r := rng.New(opt.Seed)
-	mixes := drawMixes(r, pool, opt.Mixes, opt.Cores)
+	opt = opt.withDefaults()
+	trials := opt.draws(pool, cores)
+	results := opt.run(trials, schemes(sim.Config{}, sim.SchemeCoop, sim.SchemeAdaptive))
 	t := stats.NewTable(title, "coop", "adaptive", "adaptive/coop")
 	var rel, coopAcc, adaptAcc stats.Accumulator
-	for i, mix := range mixes {
-		seed := opt.Seed + uint64(i)*101
-		rc := sim.Run(opt.simConfig(sim.SchemeCoop, seed), mix)
-		ra := sim.Run(opt.simConfig(sim.SchemeAdaptive, seed), mix)
+	for i, tr := range trials {
+		rc, ra := results[i][0], results[i][1]
 		sp := stats.Speedup(ra.HarmonicIPC, rc.HarmonicIPC)
-		t.AddRow(workload.MixNames(mix), rc.HarmonicIPC, ra.HarmonicIPC, sp)
+		t.AddRow(workload.MixNames(tr.mix), rc.HarmonicIPC, ra.HarmonicIPC, sp)
 		rel.Add(sp)
 		coopAcc.Add(rc.HarmonicIPC)
 		adaptAcc.Add(ra.HarmonicIPC)
@@ -436,20 +422,18 @@ type SamplingResult struct {
 // every set versus only the 1/16 of sets with the lowest index.
 func ShadowSampling(opt Options) SamplingResult {
 	opt = opt.withDefaults()
-	r := rng.New(opt.Seed)
-	mixes := drawMixes(r, workload.Intensive(), opt.Mixes, opt.Cores)
+	trials := opt.draws(workload.Intensive(), cores)
+	results := opt.run(trials, []sim.Config{
+		{Scheme: sim.SchemeAdaptive},
+		{Scheme: sim.SchemeAdaptive, ShadowSampleShift: 4},
+	})
 	t := stats.NewTable("Shadow-tag sampling (§4.6): harmonic IPC, full vs 1/16 of sets",
 		"full", "sampled", "sampled/full")
 	var full, sampled stats.Accumulator
 	var fullM, sampledM stats.Accumulator
-	for i, mix := range mixes {
-		seed := opt.Seed + uint64(i)*101
-		cfgF := opt.simConfig(sim.SchemeAdaptive, seed)
-		cfgS := opt.simConfig(sim.SchemeAdaptive, seed)
-		cfgS.ShadowSampleShift = 4
-		rf := sim.Run(cfgF, mix)
-		rs := sim.Run(cfgS, mix)
-		t.AddRow(workload.MixNames(mix), rf.HarmonicIPC, rs.HarmonicIPC,
+	for i, tr := range trials {
+		rf, rs := results[i][0], results[i][1]
+		t.AddRow(workload.MixNames(tr.mix), rf.HarmonicIPC, rs.HarmonicIPC,
 			stats.Speedup(rs.HarmonicIPC, rf.HarmonicIPC))
 		full.Add(rf.HarmonicIPC)
 		sampled.Add(rs.HarmonicIPC)
@@ -480,8 +464,8 @@ func Anecdote(opt Options) AnecdoteResult {
 	ammp, _ := workload.ByName("ammp")
 	wupwise, _ := workload.ByName("wupwise")
 	mix := []workload.AppParams{wupwise, ammp, ammp, ammp}
-	rp := sim.Run(opt.simConfig(sim.SchemePrivate, opt.Seed), mix)
-	ra := sim.Run(opt.simConfig(sim.SchemeAdaptive, opt.Seed), mix)
+	results := opt.run([]trial{{mix, opt.Seed}}, schemes(sim.Config{}, sim.SchemePrivate, sim.SchemeAdaptive))
+	rp, ra := results[0][0], results[0][1]
 	t := stats.NewTable("§4.3 anecdote: wupwise + 3×ammp", "private IPC", "adaptive IPC")
 	for core, name := range []string{"wupwise", "ammp-1", "ammp-2", "ammp-3"} {
 		t.AddRow(name, rp.PerCoreIPC[core], ra.PerCoreIPC[core])

@@ -228,7 +228,7 @@ func TestParallelWorkloadsSingleCopyWins(t *testing.T) {
 
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.Mixes == 0 || o.MeasureCycles == 0 || o.Cores != 4 {
+	if o.Mixes == 0 || o.WarmupInstructions == 0 || o.WarmupCycles == 0 || o.MeasureCycles == 0 {
 		t.Fatalf("defaults missing: %+v", o)
 	}
 }

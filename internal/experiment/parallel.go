@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"fmt"
+
 	"nucasim/internal/sim"
 	"nucasim/internal/stats"
 	"nucasim/internal/workload"
@@ -26,20 +28,23 @@ type ParallelResult struct {
 // scheme additionally protecting each thread's private state.
 func ParallelWorkloads(opt Options) ParallelResult {
 	opt = opt.withDefaults()
-	t := stats.NewTable("Parallel workloads (§3 future work): harmonic IPC",
-		"private", "shared", "adaptive", "adaptive/private")
-	var aAcc, sAcc stats.Accumulator
-	for i, p := range workload.ParallelSuite() {
-		mix := make([]workload.AppParams, opt.Cores)
+	apps := workload.ParallelSuite()
+	trials := make([]trial, len(apps))
+	for i, p := range apps {
+		mix := make([]workload.AppParams, cores)
 		for c := range mix {
 			mix[c] = p // one thread per core
 		}
-		seed := opt.Seed + uint64(i)*101
-		rp := sim.Run(opt.simConfig(sim.SchemePrivate, seed), mix)
-		rs := sim.Run(opt.simConfig(sim.SchemeShared, seed), mix)
-		ra := sim.Run(opt.simConfig(sim.SchemeAdaptive, seed), mix)
+		trials[i] = trial{mix, opt.Seed + uint64(i)*101}
+	}
+	results := opt.run(trials, schemes(sim.Config{}, sim.SchemePrivate, sim.SchemeShared, sim.SchemeAdaptive))
+	t := stats.NewTable("Parallel workloads (§3 future work): harmonic IPC",
+		"private", "shared", "adaptive", "adaptive/private")
+	var aAcc, sAcc stats.Accumulator
+	for i, p := range apps {
+		rp, rs, ra := results[i][0], results[i][1], results[i][2]
 		sp := stats.Speedup(ra.HarmonicIPC, rp.HarmonicIPC)
-		t.AddRow(p.Name+" x"+coresSuffix(opt.Cores),
+		t.AddRow(fmt.Sprintf("%s x%d", p.Name, cores),
 			rp.HarmonicIPC, rs.HarmonicIPC, ra.HarmonicIPC, sp)
 		aAcc.Add(sp)
 		sAcc.Add(stats.Speedup(rs.HarmonicIPC, rp.HarmonicIPC))
@@ -48,16 +53,5 @@ func ParallelWorkloads(opt Options) ParallelResult {
 		Table:             t,
 		AdaptiveVsPrivate: aAcc.Mean(),
 		SharedVsPrivate:   sAcc.Mean(),
-	}
-}
-
-func coresSuffix(cores int) string {
-	switch cores {
-	case 4:
-		return "4"
-	case 8:
-		return "8"
-	default:
-		return "N"
 	}
 }

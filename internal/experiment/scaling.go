@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"nucasim/internal/rng"
 	"nucasim/internal/sim"
 	"nucasim/internal/stats"
 	"nucasim/internal/workload"
@@ -23,32 +22,29 @@ type CoreScalingResult struct {
 // structures scale as described in §2.7.
 func CoreScaling(opt Options) CoreScalingResult {
 	opt = opt.withDefaults()
+	widths := []int{4, 8}
+	var trials []trial
+	for _, n := range widths {
+		trials = append(trials, opt.draws(workload.Intensive(), n)...)
+	}
+	results := opt.run(trials, schemes(sim.Config{}, sim.SchemePrivate, sim.SchemeAdaptive))
 	res := CoreScalingResult{
 		Table:       stats.NewTable("§6 scaling: adaptive vs private harmonic-IPC speedup", "speedup"),
 		GainAtCores: map[int]float64{},
 	}
-	for _, cores := range []int{4, 8} {
-		r := rng.New(opt.Seed)
-		mixes := drawMixes(r, workload.Intensive(), opt.Mixes, cores)
+	for k, n := range widths {
 		var acc stats.Accumulator
-		for i, mix := range mixes {
-			seed := opt.Seed + uint64(i)*101
-			cfgP := opt.simConfig(sim.SchemePrivate, seed)
-			cfgP.Cores = cores
-			cfgA := opt.simConfig(sim.SchemeAdaptive, seed)
-			cfgA.Cores = cores
-			rp := sim.Run(cfgP, mix)
-			ra := sim.Run(cfgA, mix)
-			acc.Add(stats.Speedup(ra.HarmonicIPC, rp.HarmonicIPC))
+		for _, r := range results[k*opt.Mixes : (k+1)*opt.Mixes] {
+			acc.Add(stats.Speedup(r[1].HarmonicIPC, r[0].HarmonicIPC))
 		}
-		res.Table.AddRow(coresLabel(cores), acc.Mean())
-		res.GainAtCores[cores] = (acc.Mean() - 1) * 100
+		res.Table.AddRow(coresLabel(n), acc.Mean())
+		res.GainAtCores[n] = (acc.Mean() - 1) * 100
 	}
 	return res
 }
 
-func coresLabel(cores int) string {
-	if cores == 4 {
+func coresLabel(n int) string {
+	if n == 4 {
 		return "4 cores (paper baseline)"
 	}
 	return "8 cores (§6 conjecture)"

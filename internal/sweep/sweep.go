@@ -113,14 +113,11 @@ type Spec struct {
 // deterministic order with MeasureCycles innermost, so the members of a
 // warmup group (equal WarmupHash) are always adjacent.
 type Point struct {
-	// Index is the point's position in expansion order — rows of the
-	// aggregated table keep this order.
-	Index int
-	Cfg   sim.Config
-	Mix   []workload.AppParams
-	Apps  []string
-	// Label names the point by its swept coordinates only (axes with a
-	// single value add noise, not identity); unique within the sweep.
+	Cfg sim.Config
+	Mix []workload.AppParams
+	// Label names the point. Expand labels by swept coordinates only
+	// (axes with a single value add noise, not identity), unique within
+	// the sweep.
 	Label string
 	// SpecHash is sim.SpecHash(Cfg, Mix): the job ID the point dedupes
 	// onto in the serve result cache.
@@ -252,27 +249,15 @@ func Expand(spec Spec, maxPoints int) ([]Point, error) {
 							if err != nil {
 								return nil, specErrorf("sweep: point %q: %v", label, err)
 							}
-							specHash, err := sim.SpecHash(cfg, params)
+							p, err := NewPoint(label, cfg, params)
 							if err != nil {
 								return nil, specErrorf("sweep: point %q: %v", label, err)
 							}
-							if prev, dup := seen[specHash]; dup {
+							if prev, dup := seen[p.SpecHash]; dup {
 								return nil, specErrorf("sweep: duplicate point: %q expands to the same spec as %q", label, prev)
 							}
-							seen[specHash] = label
-							warmHash, err := sim.WarmupHash(cfg, params)
-							if err != nil {
-								return nil, specErrorf("sweep: point %q: %v", label, err)
-							}
-							points = append(points, Point{
-								Index:      len(points),
-								Cfg:        cfg,
-								Mix:        params,
-								Apps:       append([]string(nil), mix...),
-								Label:      label,
-								SpecHash:   specHash,
-								WarmupHash: warmHash,
-							})
+							seen[p.SpecHash] = label
+							points = append(points, p)
 						}
 					}
 				}
@@ -280,6 +265,28 @@ func Expand(spec Spec, maxPoints int) ([]Point, error) {
 		}
 	}
 	return points, nil
+}
+
+// NewPoint content-addresses one simulation as a point: cfg and mix
+// with their SpecHash and WarmupHash. Expand builds every grid point
+// with it; callers with their own point list (internal/experiment) use
+// it directly and run the list with RunLocal.
+func NewPoint(label string, cfg sim.Config, mix []workload.AppParams) (Point, error) {
+	specHash, err := sim.SpecHash(cfg, mix)
+	if err != nil {
+		return Point{}, err
+	}
+	warmHash, err := sim.WarmupHash(cfg, mix)
+	if err != nil {
+		return Point{}, err
+	}
+	return Point{
+		Cfg:        cfg,
+		Mix:        mix,
+		Label:      label,
+		SpecHash:   specHash,
+		WarmupHash: warmHash,
+	}, nil
 }
 
 // ID is the sweep's content address: the SHA-256 of its name and the

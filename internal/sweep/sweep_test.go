@@ -49,9 +49,6 @@ func TestExpandGrid(t *testing.T) {
 		if p.Label != wantLabels[i] {
 			t.Errorf("point %d label %q, want %q", i, p.Label, wantLabels[i])
 		}
-		if p.Index != i {
-			t.Errorf("point %d carries index %d", i, p.Index)
-		}
 		if p.SpecHash == "" || p.WarmupHash == "" {
 			t.Errorf("point %q missing hashes", p.Label)
 		}

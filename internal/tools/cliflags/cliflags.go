@@ -22,6 +22,8 @@ import (
 	"io"
 
 	"nucasim/internal/atomicio"
+	"nucasim/internal/sim"
+	"nucasim/internal/sweep"
 	"nucasim/internal/telemetry"
 )
 
@@ -140,6 +142,33 @@ func (f *Flags) Open(streamMetrics bool) (*Session, error) {
 // -span-out), for artifact writes and other command-level phases.
 func (s *Session) StartSpan(name string) telemetry.Span {
 	return s.Spans.StartSpan(name, s.Root.ID())
+}
+
+// Local returns sweep.RunLocal options that give every locally
+// simulated point its own observability: a "sweep.point <label>" span
+// under parent with the point's simulation phases nested beneath it,
+// and its sharing-engine events on the -trace-out stream labelled with
+// the point's label. RunLocal attaches, runs and reports one point at a
+// time, so one open span at a time suffices.
+func (s *Session) Local(parent telemetry.SpanID, checkInvariants bool) sweep.LocalOptions {
+	var trace io.Writer
+	if s.Trace != nil {
+		trace = s.Trace
+	}
+	var open telemetry.Span
+	return sweep.LocalOptions{
+		CheckInvariants: checkInvariants,
+		Attach: func(p sweep.Point) *telemetry.Config {
+			open = s.Spans.StartSpan("sweep.point "+p.Label, parent)
+			return &telemetry.Config{
+				Run:         p.Label,
+				TraceWriter: trace,
+				Spans:       s.Spans,
+				SpanParent:  open.ID(),
+			}
+		},
+		OnPoint: func(sweep.Point, sim.Result) { open.End() },
+	}
 }
 
 // Close finishes the session: staged artifacts are committed when ok is
