@@ -79,6 +79,12 @@ func main() {
 		os.Exit(1)
 	}
 
+	// Install the drain handler before the address is published: a
+	// script may SIGTERM the moment -addr-file appears, and without a
+	// handler that signal kills the process uncleanly.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -124,8 +130,6 @@ func main() {
 		go debugServer.Serve(debugLn)
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	select {
 	case <-ctx.Done():
 	case err := <-serveErr:

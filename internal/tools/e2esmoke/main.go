@@ -4,7 +4,9 @@
 // back from the cache, forked from a shared warmup, or recovered after
 // a crash — is byte-identical to a cold run.
 //
-//   - serve: submit → run → result; SIGTERM drains cleanly (exit 0); the
+//   - serve: SIGTERM the instant the address file appears exits 0,
+//     twenty times over; submit → run → result; SIGTERM drains cleanly
+//     (exit 0); the
 //     /metrics scrape carries the Prometheus text Content-Type, passes
 //     the exposition linter and exposes ≥3 histogram families; a
 //     restarted server answers the same submission from the
@@ -83,6 +85,14 @@ func serveScenario(srv *server) {
 		WarmupInstructions: 200_000,
 		WarmupCycles:       20_000,
 		MeasureCycles:      150_000,
+	}
+
+	// Round 0: the drain handler must be live by the time the address
+	// is published, so a SIGTERM sent the moment the address file
+	// appears still exits cleanly.
+	for i := 0; i < 20; i++ {
+		srv.start()
+		srv.stop()
 	}
 
 	// Round 1: cold cache. The job must actually run.
@@ -320,7 +330,9 @@ func (s *server) start(extraArgs ...string) {
 		fatal(err)
 	}
 	running = s.cmd
-	waitUntil("the server address in "+addrFile, 30*time.Second, func() bool {
+	// Poll tightly: SIGTERM-on-publish (serveScenario round 0) is only
+	// a real check when it lands right after the file appears.
+	waitEvery("the server address in "+addrFile, 30*time.Second, time.Millisecond, func() bool {
 		addr, err := os.ReadFile(addrFile)
 		s.base = "http://" + strings.TrimSpace(string(addr))
 		return err == nil
@@ -412,14 +424,20 @@ func (s *server) postJSON(path string, in, out any, want int) {
 	}
 }
 
-// waitUntil polls cond until it holds, failing after limit.
+// waitUntil polls cond every 25 ms until it holds, failing after limit.
 func waitUntil(what string, limit time.Duration, cond func() bool) {
+	waitEvery(what, limit, 25*time.Millisecond, cond)
+}
+
+// waitEvery polls cond at the given interval until it holds, failing
+// after limit.
+func waitEvery(what string, limit, every time.Duration, cond func() bool) {
 	deadline := time.Now().Add(limit)
 	for !cond() {
 		if time.Now().After(deadline) {
 			fatal(fmt.Errorf("timed out waiting for %s", what))
 		}
-		time.Sleep(25 * time.Millisecond)
+		time.Sleep(every)
 	}
 }
 
