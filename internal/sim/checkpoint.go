@@ -23,7 +23,8 @@ import (
 // ErrInterrupted is returned by RunContext when the run stops before the
 // measurement window completes — context cancellation or Config.StopAfter.
 // If Config.CheckpointPath was set, a checkpoint holding the interrupted
-// state has been written and the run can be continued with ResumeContext.
+// state has been written and the run can be continued with
+// ResumeContextTelemetry.
 var ErrInterrupted = errors.New("sim: run interrupted")
 
 const (
@@ -193,17 +194,6 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	return ck, nil
 }
 
-// Clone returns a deep copy of the checkpoint via a gob round trip, so
-// several forked runs can each restore (and mutate machine state from)
-// their own copy without sharing a single slice between goroutines.
-func (ck *Checkpoint) Clone() (*Checkpoint, error) {
-	data, err := ck.Encode()
-	if err != nil {
-		return nil, err
-	}
-	return DecodeCheckpoint(data)
-}
-
 func (ck *Checkpoint) validate() error {
 	if ck.Version != checkpointVersion {
 		return fmt.Errorf("sim: checkpoint has version %d, this build reads %d", ck.Version, checkpointVersion)
@@ -359,27 +349,23 @@ func (m *Machine) warmup(ctx context.Context) (err error) {
 	return err
 }
 
-// ResumeContext continues a checkpointed run to completion and returns
-// the Result the uninterrupted run would have produced (bit-identical
-// partition limits, counters and epoch series; only wall-clock
-// throughput differs). The checkpoint's own StopAfter is cleared — the
-// interrupt that produced it is not re-armed — while its CheckpointPath
-// stays live, so a resumed run keeps checkpointing. The original trace
-// writer cannot be reattached; a resumed run keeps its epoch ring and
-// counters but emits no event trace.
-func ResumeContext(ctx context.Context, path string) (Result, error) {
-	return ResumeContextTelemetry(ctx, path, nil)
-}
-
-// ResumeContextTelemetry is ResumeContext with live observability
-// reattached: a checkpoint carries the telemetry parameters (run label,
-// ring capacity, sampling) but not the process-local wiring — writers
-// and hooks — so attach, when non-nil, receives the reconstructed
-// telemetry configuration before the machine is built and may install
-// OnEpoch/OnProgress hooks or a fresh TraceWriter. attach is called even
-// when the checkpointed run had no telemetry (with a zero-value config
-// whose adoption it signals by returning true); the job server uses
-// this to keep streaming progress across a restart.
+// ResumeContextTelemetry continues a checkpointed run to completion and
+// returns the Result the uninterrupted run would have produced
+// (bit-identical partition limits, counters and epoch series; only
+// wall-clock throughput differs). The checkpoint's own StopAfter is
+// cleared — the interrupt that produced it is not re-armed — while its
+// CheckpointPath stays live, so a resumed run keeps checkpointing.
+//
+// A checkpoint carries the telemetry parameters (run label, ring
+// capacity, sampling) but not the process-local wiring — writers and
+// hooks. With a nil attach the resumed run keeps its epoch ring and
+// counters but emits no event trace; otherwise attach receives the
+// reconstructed telemetry configuration before the machine is built
+// and may install OnEpoch/OnProgress hooks or a fresh TraceWriter.
+// attach is called even when the checkpointed run had no telemetry
+// (with a zero-value config whose adoption it signals by returning
+// true); the job server uses this to keep streaming progress across a
+// restart.
 func ResumeContextTelemetry(ctx context.Context, path string, attach func(c *telemetry.Config) (enable bool)) (Result, error) {
 	ck, err := ReadCheckpoint(path)
 	if err != nil {
@@ -395,15 +381,16 @@ func ResumeContextTelemetry(ctx context.Context, path string, attach func(c *tel
 // ResumeFromCheckpoint continues an in-memory checkpoint to completion —
 // the path-free core of ResumeContextTelemetry, and the fork primitive
 // behind sweep warmup sharing: capture one checkpoint at the
-// warmup/measure boundary (WarmupCheckpoint), Clone it per sweep point,
-// override each clone's Cfg.MeasureCycles (and, for crash safety, its
-// Cfg.CheckpointPath), and resume every clone independently. Only
+// warmup/measure boundary (WarmupCheckpoint), Encode it once, decode a
+// private copy per sweep point (DecodeCheckpoint), override each copy's
+// Cfg.MeasureCycles (and, for crash safety, its Cfg.CheckpointPath),
+// and resume every copy independently. Only
 // measurement-window and non-semantic fields may differ from the
 // capturing run: the checkpoint's stamped WarmupHash is re-derived from
 // ck.Cfg and a mismatch is rejected, so state can never be continued
 // under a configuration whose warmup it does not represent. The caller
 // must not reuse ck afterwards (restored machines may alias its slices);
-// fork from fresh Clones instead.
+// fork from fresh decodes instead.
 func ResumeFromCheckpoint(ctx context.Context, ck *Checkpoint, attach func(c *telemetry.Config) (enable bool)) (Result, error) {
 	if err := ck.validate(); err != nil {
 		return Result{}, err
@@ -457,7 +444,7 @@ func ResumeFromCheckpoint(ctx context.Context, ck *Checkpoint, attach func(c *te
 // checkpoint is bit-identical to running the same configuration cold,
 // which the fork-equivalence suite proves; the point is that one warmup
 // can seed arbitrarily many measurement windows (ResumeFromCheckpoint on
-// Clones with different MeasureCycles), so a sweep whose points share
+// decoded copies with different MeasureCycles), so a sweep whose points share
 // warmup-relevant configuration pays for warmup exactly once. Adaptive
 // scheme only: the baseline organizations have no snapshot support.
 func WarmupCheckpoint(ctx context.Context, cfg Config, mix []workload.AppParams) (*Checkpoint, error) {

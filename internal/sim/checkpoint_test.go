@@ -79,7 +79,7 @@ func checkResumeBitIdentical(t *testing.T, base Config, mix []workload.AppParams
 		t.Fatalf("no checkpoint written: %v", err)
 	}
 
-	got, err := ResumeContext(context.Background(), path)
+	got, err := ResumeContextTelemetry(context.Background(), path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

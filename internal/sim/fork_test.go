@@ -140,20 +140,14 @@ func TestResumeFromCheckpointRejectsWarmupMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	seedFork, err := ck.Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
+	seedFork := forkOf(t, ck)
 	seedFork.Cfg.Seed++
 	if _, err := ResumeFromCheckpoint(context.Background(), seedFork, nil); err == nil ||
 		!strings.Contains(err.Error(), "warmup hash") {
 		t.Fatalf("seed change accepted across a fork: %v", err)
 	}
 
-	shortFork, err := ck.Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
+	shortFork := forkOf(t, ck)
 	shortFork.Measured = shortFork.Cfg.MeasureCycles + 1
 	if _, err := ResumeFromCheckpoint(context.Background(), shortFork, nil); err == nil ||
 		!strings.Contains(err.Error(), "measured cycles") {
@@ -177,19 +171,31 @@ func TestWarmupCheckpointRejectsNonAdaptive(t *testing.T) {
 	}
 }
 
+// forkOf copies a checkpoint the way sweep.RunLocal forks one: an
+// Encode/DecodeCheckpoint round trip.
+func forkOf(t *testing.T, ck *Checkpoint) *Checkpoint {
+	t.Helper()
+	data, err := ck.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fork, err := DecodeCheckpoint(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fork
+}
+
 // TestCheckpointCloneIsolation pins the concurrency contract behind
-// Clone: mutating a clone (or the machine restored from it) must not
-// reach back into the original checkpoint's state.
+// forking: mutating a decoded copy (or the machine restored from it)
+// must not reach back into the original checkpoint's state.
 func TestCheckpointCloneIsolation(t *testing.T) {
 	mix := mixOf(t, "ammp", "gzip")
 	ck, err := WarmupCheckpoint(context.Background(), ckConfig(), mix)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := ck.Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl := forkOf(t, ck)
 	cl.Cfg.MeasureCycles = 1
 	cl.BeforeInstr[0]++
 	cl.Mix[0].Name = "mutated"
